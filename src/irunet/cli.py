@@ -161,13 +161,10 @@ def cmd_evaluate(args) -> int:
 def cmd_params(args) -> int:
     rc = load_run_config(args.config, args.set)
     config = rc.model_config()
-    total = 0
     for name, spec in layer_specs(config):
-        n = spec.param_count()
-        total += n
-        print(f"{name:20s} weight{spec.weight_shape} bias({spec.out_channels},)  {n}")
-    print(f"total trainable parameters: {total}")
-    assert total == param_count(config)
+        print(f"{name:20s} weight{spec.weight_shape} bias({spec.out_channels},)  "
+              f"{spec.param_count()}")
+    print(f"total trainable parameters: {param_count(config)}")
     return EXIT_OK
 
 

@@ -1,10 +1,26 @@
 """Trainable convolution layers: conv2d, transposed conv2d, average pooling.
 
-Convolution is cross-correlation (no kernel flip). All routines share one
-loop-over-kernel-taps formulation: each of the kh*kw taps contributes a
-strided slice of the (padded) input times one weight column, realized as a
-batched matmul. Stride, dilation and both padding modes fall out of the
-slice arithmetic, and the backward passes reuse the same geometry.
+Convolution is cross-correlation (no kernel flip). The three raw kernels
+(forward, weight gradient, input gradient) share one window/pitch
+formulation. The input is zero-padded once and split into its stride phase
+maps, each laid out row-major at one row pitch; at stride 1 there is a
+single phase map, the padded input itself. At that pitch, the input pixels
+that kernel tap (i, j) feeds to all output pixels form one contiguous window
+of a phase map, so each tap is one matmul over channels on a view, and no
+tap is ever copied. The forward pass accumulates the output at the same
+pitch and crops the pitch columns once at the end. The backward passes feed
+the output gradient at that pitch, with zeros in the pitch columns, and
+read from (weight gradient) or add into (input gradient) the same windows.
+The taps sweep the map in cache-sized blocks.
+
+Taps stay separate matmuls, summed in tap order, instead of one im2col GEMM
+over C*kh*kw. That keeps a dilated kernel bit-identical to the same kernel
+inflated with zero taps (the exact dilation oracle in the tests), and builds
+no buffer kh*kw times the size of the input. Only where no two taps share an
+input pixel (1x1 kernels, 2x2 stride-2 kernels) does each tap read a whole
+phase map, and the conv is one GEMM over the stacked maps: a plain matmul
+at 1x1 stride 1, subsample-then-GEMM at 1x1 stride 2, and GEMM plus pixel
+shuffle at 2x2 stride 2.
 
 The transposed convolution is defined as the linear adjoint of the
 same-spec convolution: its forward pass is the convolution's input
@@ -128,38 +144,182 @@ def _geometry(h: int, w: int, spec: ConvSpec):
     return out_h, out_w, pads
 
 
-def _pad(x: np.ndarray, pads) -> np.ndarray:
-    pt, pb, pl, pr = pads
-    if pt == pb == pl == pr == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+@dataclass(frozen=True)
+class _Plan:
+    """Where every tap of one conv reads in the phase maps of its padded input.
+
+    Phase (a, b) of the padded map holds its pixels at rows a, a+sh, ... and
+    columns b, b+sw, ...; each phase map is laid out row-major at pitch `wq`.
+    Tap (i, j) reads phase ((i*dh) % sh, (j*dw) % sw) shifted by
+    ((i*dh) // sh, (j*dw) // sw), so at stride 1 there is one phase, the
+    padded map itself. Read at pitch `wq`, the inputs of all output pixels of
+    a tap form one contiguous window of `length` elements starting at the
+    tap's offset; the `wq - out_w` columns at the end of each output row are
+    pitch padding that is cropped (forward) or fed zeros (backward).
+    """
+
+    out_h: int
+    out_w: int
+    hq: int
+    wq: int
+    taps: tuple[tuple[int, int], ...]  # (phase map index, window offset) per tap
+    cuts: tuple  # per phase map: (input slices, map slices) holding the same pixels
+    fills_maps: bool  # the input covers every phase map: no zero padding
+    fills_input: bool  # every input pixel lies in some phase map
+    is_view: bool  # one phase map that is the input itself
+
+    @property
+    def length(self) -> int:
+        return (self.out_h - 1) * self.wq + self.out_w
+
+    @property
+    def reach(self) -> int:
+        """The largest tap offset."""
+        return max(off for _, off in self.taps)
+
+    @property
+    def disjoint(self) -> bool:
+        """Tap t reads all of phase map t: no two taps share an input pixel."""
+        return all(t == p and off == 0 for t, (p, off) in enumerate(self.taps))
 
 
-def _tap_slice(i: int, j: int, out_h: int, out_w: int, spec: ConvSpec):
+def _plan(h: int, w: int, spec: ConvSpec) -> _Plan:
+    """The phase maps and tap windows of `spec` on an h x w input."""
+    kh, kw = spec.kernel
     sh, sw = spec.stride
     dh, dw = spec.dilation
-    return (
-        slice(i * dh, i * dh + (out_h - 1) * sh + 1, sh),
-        slice(j * dw, j * dw + (out_w - 1) * sw + 1, sw),
-    )
+    out_h, out_w, (pt, _, pl, _) = _geometry(h, w, spec)
+    hq = out_h + (kh - 1) * dh // sh
+    wq = out_w + (kw - 1) * dw // sw
+    phases: list[tuple[int, int]] = []
+    taps = []
+    for i in range(kh):
+        for j in range(kw):
+            phase = (i * dh % sh, j * dw % sw)
+            if phase not in phases:
+                phases.append(phase)
+            taps.append((phases.index(phase), i * dh // sh * wq + j * dw // sw))
+    cuts = []
+    fills_maps, covered = True, 0
+    for a, b in phases:
+        r0, c0 = (a - pt) % sh, (b - pl) % sw  # first input row/column in the phase
+        q0, p0 = (r0 + pt) // sh, (c0 + pl) // sw
+        nr = min(len(range(r0, h, sh)), hq - q0)
+        nc = min(len(range(c0, w, sw)), wq - p0)
+        cuts.append(((slice(r0, r0 + nr * sh, sh), slice(c0, c0 + nc * sw, sw)),
+                     (slice(q0, q0 + nr), slice(p0, p0 + nc))))
+        fills_maps = fills_maps and (q0, p0, nr, nc) == (0, 0, hq, wq)
+        covered += nr * nc
+    is_view = (sh, sw) == (1, 1) and fills_maps and covered == h * w
+    return _Plan(out_h, out_w, hq, wq, tuple(taps), tuple(cuts),
+                 fills_maps, covered == h * w, is_view)
+
+
+def _to_phases(x: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Phase maps of the zero-padded input, [N, P, C, hq*wq]; a view when nothing moves."""
+    n, c = x.shape[:2]
+    if plan.is_view:
+        return x.reshape(n, 1, c, plan.hq * plan.wq)
+    alloc = np.empty if plan.fills_maps else np.zeros
+    xq = alloc((n, len(plan.cuts), c, plan.hq, plan.wq), dtype=x.dtype)
+    for p, (xs, qs) in enumerate(plan.cuts):
+        xq[:, p, :, qs[0], qs[1]] = x[:, :, xs[0], xs[1]]
+    return xq.reshape(n, len(plan.cuts), c, plan.hq * plan.wq)
+
+
+def _from_phases(gq: np.ndarray, plan: _Plan, x_shape) -> np.ndarray:
+    """Adjoint of _to_phases: gather phase-map gradients back onto the input grid."""
+    n, c = x_shape[:2]
+    gq = gq.reshape(n, len(plan.cuts), c, plan.hq, plan.wq)
+    if plan.is_view:
+        return gq.reshape(x_shape)
+    gx = (np.empty if plan.fills_input else np.zeros)(x_shape, dtype=gq.dtype)
+    for p, (xs, qs) in enumerate(plan.cuts):
+        gx[:, :, xs[0], xs[1]] = gq[:, p, :, qs[0], qs[1]]
+    return gx
+
+
+def _pitched(g: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Output gradient at row pitch wq, zeros in the pitch columns and around.
+
+    Output pixel k (counted at pitch wq) sits at `plan.reach + k` of an
+    [N, O, reach + hq*wq] buffer, so every tap's window, shifted back by its
+    offset, stays inside it.
+    """
+    n, o = g.shape[:2]
+    size = plan.reach + plan.hq * plan.wq
+    if plan.reach == 0 and (plan.hq, plan.wq) == (plan.out_h, plan.out_w):
+        return g.reshape(n, o, size)
+    gp = np.zeros((n, o, size), dtype=g.dtype)
+    rows = gp[..., plan.reach:plan.reach + plan.out_h * plan.wq]
+    rows.reshape(n, o, plan.out_h, plan.wq)[..., :plan.out_w] = g
+    return gp
+
+
+# Partial-sum elements per block. One block's partial sums, the windows they
+# read and the output they add into (about 1 MB in float32) stay in a 2 MB L2
+# cache while all taps sweep it. On a 2-core Xeon with 2 MB L2 per core, 96K
+# ran a 256x256 forward pass faster than 32K, 64K, 128K or no blocking; on a
+# batch-8 64x64 train step every size from 64K up was within noise.
+_BLOCK = 96 * 1024
+
+
+def _blocks(n: int, rows: int, length: int) -> list[tuple[slice, slice]]:
+    """(images, positions) blocks of at most about _BLOCK partial-sum elements."""
+    per_image = rows * length
+    if per_image >= _BLOCK:
+        step = max(1, _BLOCK // rows)
+        return [(slice(i, i + 1), slice(k, min(k + step, length)))
+                for i in range(n) for k in range(0, length, step)]
+    nb = _BLOCK // per_image
+    return [(slice(i, min(i + nb, n)), slice(0, length)) for i in range(0, n, nb)]
+
+
+def _tap_sum(out: np.ndarray, taps) -> None:
+    """out[:, :, k] = sum over (matrix, src, start) in taps of matrix @ src[:, :, start + k].
+
+    Taps are summed in the order given, one matmul per tap on a window view.
+    """
+    n, rows, length = out.shape
+    for bn, bk in _blocks(n, max(rows, taps[0][0].shape[1]), length):
+        acc = out[bn, :, bk]
+        part = np.empty(acc.shape, dtype=out.dtype)
+        for t, (mat, src, start) in enumerate(taps):
+            window = src[bn, :, start + bk.start:start + bk.stop]
+            if t == 0:
+                np.matmul(mat, window, out=acc)
+            else:
+                np.matmul(mat, window, out=part)
+                acc += part
+
+
+def _tap_weights(weight: np.ndarray) -> np.ndarray:
+    """[O, C, kh, kw] -> [kh*kw, O, C]: one contiguous matrix per tap."""
+    o, c, kh, kw = weight.shape
+    return np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
+
+
+def _stacked_weights(weight: np.ndarray) -> np.ndarray:
+    """[O, C, kh, kw] -> [O, kh*kw*C]: the taps side by side, as the phase maps are stacked."""
+    o = weight.shape[0]
+    return np.ascontiguousarray(weight.transpose(0, 2, 3, 1)).reshape(o, -1)
 
 
 # ----------------------------------------------------- raw numpy kernels
 
 def _conv2d_raw(x: np.ndarray, weight: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Cross-correlation without bias. x [N,C,H,W], weight [O,C,kh,kw]."""
-    n, c, h, w = x.shape
+    n, _, h, w = x.shape
     out_c = weight.shape[0]
-    kh, kw = spec.kernel
-    out_h, out_w, pads = _geometry(h, w, spec)
-    xp = _pad(x, pads)
-    y = np.zeros((n, out_c, out_h * out_w), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            si, sj = _tap_slice(i, j, out_h, out_w, spec)
-            xs = xp[:, :, si, sj].reshape(n, c, out_h * out_w)
-            y += np.matmul(weight[:, :, i, j], xs)
-    return y.reshape(n, out_c, out_h, out_w)
+    plan = _plan(h, w, spec)
+    xq = _to_phases(x, plan)
+    if plan.disjoint:
+        y = np.matmul(_stacked_weights(weight), xq.reshape(n, -1, plan.hq * plan.wq))
+        return y.reshape(n, out_c, plan.out_h, plan.out_w)
+    y = np.empty((n, out_c, plan.out_h * plan.wq), dtype=x.dtype)
+    _tap_sum(y[..., :plan.length], [(wt, xq[:, p], off)
+                                    for wt, (p, off) in zip(_tap_weights(weight), plan.taps)])
+    return np.ascontiguousarray(y.reshape(n, out_c, plan.out_h, plan.wq)[..., :plan.out_w])
 
 
 def _conv2d_grad_w(x: np.ndarray, g: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -167,33 +327,33 @@ def _conv2d_grad_w(x: np.ndarray, g: np.ndarray, spec: ConvSpec) -> np.ndarray:
     n, c, h, w = x.shape
     out_c = g.shape[1]
     kh, kw = spec.kernel
-    out_h, out_w, pads = _geometry(h, w, spec)
-    xp = _pad(x, pads)
-    g2 = g.reshape(n, out_c, out_h * out_w)
-    gw = np.zeros((out_c, c, kh, kw), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            si, sj = _tap_slice(i, j, out_h, out_w, spec)
-            xs = xp[:, :, si, sj].reshape(n, c, out_h * out_w)
-            gw[:, :, i, j] = np.matmul(g2, xs.transpose(0, 2, 1)).sum(axis=0)
-    return gw
+    plan = _plan(h, w, spec)
+    xq = _to_phases(x, plan)
+    gp = _pitched(g, plan)[..., plan.reach:plan.reach + plan.length]
+    gw = np.empty((kh * kw, out_c, c), dtype=x.dtype)
+    for t, (p, off) in enumerate(plan.taps):
+        window = xq[:, p, :, off:off + plan.length]
+        np.matmul(gp, window.transpose(0, 2, 1)).sum(axis=0, out=gw[t])
+    return np.ascontiguousarray(gw.reshape(kh, kw, out_c, c).transpose(2, 3, 0, 1))
 
 
 def _conv2d_grad_x(g: np.ndarray, weight: np.ndarray, x_shape, spec: ConvSpec) -> np.ndarray:
-    """Gradient of the conv output w.r.t. input: the adjoint map."""
+    """Gradient of the conv output w.r.t. input: the adjoint map.
+
+    Each phase-map pixel gathers, tap by tap, the gradient of the output
+    pixel that read it: the forward tap sum run backwards over the windows.
+    """
     n, c, h, w = x_shape
-    out_c = g.shape[1]
-    kh, kw = spec.kernel
-    out_h, out_w, pads = _geometry(h, w, spec)
-    pt, pb, pl, pr = pads
-    g2 = g.reshape(n, out_c, out_h * out_w)
-    gxp = np.zeros((n, c, h + pt + pb, w + pl + pr), dtype=g.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            si, sj = _tap_slice(i, j, out_h, out_w, spec)
-            contrib = np.matmul(weight[:, :, i, j].T, g2)
-            gxp[:, :, si, sj] += contrib.reshape(n, c, out_h, out_w)
-    return np.ascontiguousarray(gxp[:, :, pt:pt + h, pl:pl + w])
+    plan = _plan(h, w, spec)
+    gp = _pitched(g, plan)
+    if plan.disjoint:
+        return _from_phases(np.matmul(_stacked_weights(weight).T, gp), plan, x_shape)
+    gq = np.empty((n, len(plan.cuts), c, plan.hq * plan.wq), dtype=g.dtype)
+    weights = _tap_weights(weight)
+    for p in range(len(plan.cuts)):
+        _tap_sum(gq[:, p], [(wt.T, gp, plan.reach - off)
+                            for wt, (tp, off) in zip(weights, plan.taps) if tp == p])
+    return _from_phases(gq, plan, x_shape)
 
 
 # ------------------------------------------------------------ tensor ops
@@ -279,12 +439,16 @@ def avg_pool2d(x: Tensor, window: tuple[int, int] = (2, 2),
     wh, ww = window
     if h % wh or w % ww:
         raise ValueError(f"spatial extents {h}x{w} not divisible by window {wh}x{ww}")
-    oh, ow = h // wh, w // ww
-    y = x.data.reshape(n, c, oh, wh, ow, ww).mean(axis=(3, 5))
     inv = 1.0 / (wh * ww)
+    # summing strided views is far cheaper than a mean over a 6-D reshape
+    y = np.zeros((n, c, h // wh, w // ww), dtype=x.dtype)
+    for a in range(wh):
+        for b in range(ww):
+            y += x.data[:, :, a::wh, b::ww]
+    y *= inv
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             gx = np.repeat(np.repeat(g * inv, wh, axis=2), ww, axis=3)
             x.accumulate_grad(gx)
-    return Tensor._make(y.astype(x.dtype, copy=False), (x,), backward)
+    return Tensor._make(y, (x,), backward)

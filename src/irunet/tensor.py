@@ -110,8 +110,10 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, never g itself: ops such as __add__ hand one g to two parents
+            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irunet import rng
+from irunet import layers, rng
 from irunet.layers import (ConvSpec, LayerParams, avg_pool2d, conv2d, conv_output_size,
                            glorot_bound, init_params, transposed_conv2d)
 from irunet.tensor import Tensor, no_grad
@@ -132,6 +132,86 @@ class TestConv2d:
             ad = t.grad.reshape(-1)
             scale = max(np.abs(ad).max(), np.abs(fd).max(), 1e-12)
             assert np.abs(ad - fd).max() / scale < 1e-6
+
+
+def direct_conv(x, w, stride, dilation, padding, proj):
+    """Python-loop convolution: output, and the weight and input gradients of sum(out * proj)."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    (sh, sw), (dh, dw) = stride, dilation
+    eff_h, eff_w = (kh - 1) * dh + 1, (kw - 1) * dw + 1
+    if padding == "same":
+        oh, ow = -(-h // sh), -(-wd // sw)
+        pt = max((oh - 1) * sh + eff_h - h, 0) // 2
+        pl = max((ow - 1) * sw + eff_w - wd, 0) // 2
+    else:
+        oh, ow = (h - eff_h) // sh + 1, (wd - eff_w) // sw + 1
+        pt = pl = 0
+    y = np.zeros((n, o, oh, ow))
+    gw = np.zeros(w.shape)
+    gx = np.zeros(x.shape)
+    for b in range(n):
+        for oy in range(oh):
+            for ox in range(ow):
+                for i in range(kh):
+                    for j in range(kw):
+                        r, col = oy * sh + i * dh - pt, ox * sw + j * dw - pl
+                        if 0 <= r < h and 0 <= col < wd:
+                            y[b, :, oy, ox] += w[:, :, i, j] @ x[b, :, r, col]
+                            gw[:, :, i, j] += np.outer(proj[b, :, oy, ox], x[b, :, r, col])
+                            gx[b, :, r, col] += w[:, :, i, j].T @ proj[b, :, oy, ox]
+    return y, gw, gx
+
+
+ORACLE_SIZES = ((5, 5), (6, 6), (5, 8), (7, 6))
+
+
+class TestDirectSummationOracle:
+    # every kernel/stride/dilation/padding combination on odd, even and non-square maps
+    GEOMETRIES = [(k, s, d, pad) for k in (1, 2, 3) for s in (1, 2) for d in (1, 2)
+                  for pad in ("same", "valid")]
+
+    @pytest.fixture(autouse=True, params=["whole", "split"])
+    def block(self, request, monkeypatch):
+        # "split" shrinks the tap-sum block so each map is swept in many pieces,
+        # some of which end mid-row, as large maps are
+        if request.param == "split":
+            monkeypatch.setattr(layers, "_BLOCK", 5)
+
+    @pytest.mark.parametrize("k,s,d,pad", GEOMETRIES)
+    def test_conv2d_forward_and_gradients(self, k, s, d, pad):
+        seed = rng.hash64("oracle", k, s, d, pad)
+        u = rng.uniform(seed, 2)
+        cin, cout = 1 + int(u[0] * 3), 1 + int(u[1] * 3)
+        h, w = ORACLE_SIZES[seed % len(ORACLE_SIZES)]
+        spec = ConvSpec(cin, cout, kernel=k, stride=s, dilation=d, padding=pad)
+        lp = init_params(spec, rng.hash64(seed, "w"), dtype=np.float64)
+        x = rand64(rng.hash64(seed, "x"), (2, cin, h, w))
+        out = conv2d(x, spec, lp)
+        proj = rand64(rng.hash64(seed, "p"), out.shape, requires_grad=False)
+        (out * proj).sum().backward()
+        y, gw, gx = direct_conv(x.data, lp.weight.data, spec.stride, spec.dilation, pad, proj.data)
+        assert out.shape == y.shape
+        assert np.abs(out.data - y).max() <= 1e-12
+        assert np.abs(lp.weight.grad - gw).max() <= 1e-12
+        assert np.abs(x.grad - gx).max() <= 1e-12
+
+    @pytest.mark.parametrize("k,s,d", sorted({g[:3] for g in GEOMETRIES}))
+    def test_transposed_conv2d_forward(self, k, s, d):
+        # the transposed conv scatters each input pixel through the kernel:
+        # the input gradient of the same-padded conv on the upsampled grid
+        seed = rng.hash64("oracle-t", k, s, d)
+        u = rng.uniform(seed, 2)
+        cin, cout = 1 + int(u[0] * 3), 1 + int(u[1] * 3)
+        h, w = ORACLE_SIZES[seed % len(ORACLE_SIZES)]
+        tspec = ConvSpec(cin, cout, kernel=k, stride=s, dilation=d, transposed=True)
+        lp = init_params(tspec, rng.hash64(seed, "w"), dtype=np.float64)
+        x = rand64(rng.hash64(seed, "x"), (2, cin, h, w), requires_grad=False)
+        with no_grad():
+            out = transposed_conv2d(x, tspec, lp)
+        _, _, expected = direct_conv(np.zeros((2, cout, h * s, w * s)), lp.weight.data,
+                                     tspec.stride, tspec.dilation, "same", x.data)
+        assert np.abs(out.data - expected).max() <= 1e-12
 
 
 class TestTransposedConv2d:

@@ -102,6 +102,14 @@ class TestBackward:
         (x * x + x).sum().backward()
         assert np.allclose(x.grad, [5.0])  # 2x + 1 at x=2
 
+    def test_self_add_copies_first_gradient(self):
+        # __add__ hands one g to both parents; the first write must not alias it
+        x = rand64(10, (2, 3))
+        y = x + x
+        y.sum().backward()
+        assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+        assert np.array_equal(y.grad, np.ones((2, 3)))
+
     def test_unreached_values_have_no_grad(self):
         x = rand64(3, (2,))
         y = rand64(4, (2,))
