@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,6 +29,8 @@ from .tensor import Tensor
 
 MAGIC = b"IRUN"
 VERSION = 1
+# on-disk name stem of the entries of ModelConfig's one tuple field: stage_width_0..3
+WIDTH_PREFIX = "stage_width_"
 
 
 class CheckpointError(ValueError):
@@ -36,41 +38,34 @@ class CheckpointError(ValueError):
 
 
 def _config_fields(config: ModelConfig) -> list[tuple[str, int]]:
-    fields = [
-        ("input_channels", config.input_channels),
-        ("base_width", config.base_width),
-        ("stage_width_0", config.stage_widths[0]),
-        ("stage_width_1", config.stage_widths[1]),
-        ("stage_width_2", config.stage_widths[2]),
-        ("stage_width_3", config.stage_widths[3]),
-        ("kernel", config.kernel),
-        ("dilation_rate", config.dilation_rate),
-        ("branch_width", config.branch_width),
-        ("sigma_low", config.sigma_low),
-        ("sigma_high", config.sigma_high),
-    ]
-    return fields
+    """On-disk (name, value) pairs in field order; the tuple field expands in place."""
+    pairs = []
+    for f in fields(ModelConfig):
+        value = getattr(config, f.name)
+        if isinstance(value, tuple):
+            pairs.extend((f"{WIDTH_PREFIX}{i}", v) for i, v in enumerate(value))
+        else:
+            pairs.append((f.name, value))
+    return pairs
 
 
-def _config_from_fields(fields: dict[str, int]) -> ModelConfig:
-    expected = {name for name, _ in _config_fields(ModelConfig())}
-    got = set(fields)
+def _config_from_fields(stored: dict[str, int]) -> ModelConfig:
+    default = ModelConfig()
+    expected = {name for name, _ in _config_fields(default)}
+    got = set(stored)
     if got != expected:
         missing = sorted(expected - got)
         unknown = sorted(got - expected)
         raise CheckpointError(
             f"config field mismatch: missing {missing}, unknown {unknown}")
-    return ModelConfig(
-        input_channels=fields["input_channels"],
-        base_width=fields["base_width"],
-        stage_widths=(fields["stage_width_0"], fields["stage_width_1"],
-                      fields["stage_width_2"], fields["stage_width_3"]),
-        kernel=fields["kernel"],
-        dilation_rate=fields["dilation_rate"],
-        branch_width=fields["branch_width"],
-        sigma_low=fields["sigma_low"],
-        sigma_high=fields["sigma_high"],
-    )
+    values = {}
+    for f in fields(ModelConfig):
+        value = getattr(default, f.name)
+        if isinstance(value, tuple):
+            values[f.name] = tuple(stored[f"{WIDTH_PREFIX}{i}"] for i in range(len(value)))
+        else:
+            values[f.name] = stored[f.name]
+    return ModelConfig(**values)
 
 
 def _encode_name(name: str) -> bytes:
@@ -135,9 +130,9 @@ class _Reader:
 def _serialize(params: ParamStore, config: ModelConfig,
                state: AdamState | None = None) -> bytes:
     parts = [MAGIC, struct.pack("<I", VERSION)]
-    fields = _config_fields(config)
-    parts.append(struct.pack("<I", len(fields)))
-    for name, value in fields:
+    config_fields = _config_fields(config)
+    parts.append(struct.pack("<I", len(config_fields)))
+    for name, value in config_fields:
         parts.append(_encode_name(name) + struct.pack("<q", value))
     tensors = params.named_tensors()
     parts.append(struct.pack("<I", len(tensors)))
@@ -195,13 +190,13 @@ def load_checkpoint(path, dtype=np.float32) -> LoadedCheckpoint:
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
 
-    fields: dict[str, int] = {}
+    stored: dict[str, int] = {}
     for _ in range(r.u32()):
         name = r.name()
-        if name in fields:
+        if name in stored:
             raise CheckpointError(f"{path}: duplicate config field {name!r}")
-        fields[name] = r.i64()
-    config = _config_from_fields(fields)
+        stored[name] = r.i64()
+    config = _config_from_fields(stored)
 
     expected = {}
     for lname, spec in layer_specs(config):

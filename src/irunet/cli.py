@@ -14,13 +14,13 @@ import time
 from . import gradcheck as gradcheck_mod
 from . import imageio
 from .checkpoint import CheckpointError, load_checkpoint
-from .config import ConfigError, load_run_config
+from .config import ConfigError, build_config, echo_lines, load_run_config
 from .data import (DatasetManifest, IMAGE_EXTENSIONS, build_manifest, list_images)
 from .metrics import evaluate
-from .model import DOWNSCALE_FACTOR, forward, layer_specs, param_count
-from .noise import NoiseSpec, corrupt
+from .model import DOWNSCALE_FACTOR, ModelConfig, forward, layer_specs, param_count
+from .noise import SIGMA_MAX, NoiseSpec, corrupt
 from .tensor import no_grad
-from .train import NonFiniteLossError, train
+from .train import NonFiniteLossError, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,14 +49,9 @@ def _parse_sigmas(text: str) -> list[int]:
     except ValueError:
         raise UsageError(f"cannot parse sigma list {text!r} (use N, N,M,... or LO..HI)")
     for v in values:
-        if not 0 <= v <= 50:
-            raise UsageError(f"sigma {v} outside the supported range 0..50")
+        if not 0 <= v <= SIGMA_MAX:
+            raise UsageError(f"sigma {v} outside the supported range 0..{SIGMA_MAX:g}")
     return values
-
-
-def _echo_config(rc, stream) -> None:
-    for line in rc.echo_lines():
-        stream.write(f"# {line}\n")
 
 
 # ------------------------------------------------------------- commands
@@ -81,16 +76,23 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_train(args) -> int:
-    rc = load_run_config(args.config, args.set)
+    values = load_run_config(args.config, args.set)
+    model_config = build_config(ModelConfig, values)
+    train_config = build_config(TrainConfig, values)
+    if args.resume is not None:
+        # train() runs the checkpoint's architecture, so the header must echo it
+        model_config = load_checkpoint(args.resume).config
     manifest = DatasetManifest.load(args.manifest)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train.log")
-    with open(log_path, "w", encoding="utf-8") as log:
-        _echo_config(rc, log)
-        _echo_config(rc, sys.stdout)
+    # a resumed run continues the log: each segment opens with its own header
+    with open(log_path, "w" if args.resume is None else "a", encoding="utf-8") as log:
+        header = "".join(f"# {line}\n" for line in echo_lines(model_config, train_config))
+        log.write(header)
         log.flush()
+        sys.stdout.write(header)
         try:
-            result = train(rc.model_config(), rc.train_config(), manifest, args.out,
+            result = train(model_config, train_config, manifest, args.out,
                            resume=args.resume, log_stream=log)
         except NonFiniteLossError as e:
             print(f"ABORT: {e}", file=sys.stderr)
@@ -159,8 +161,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_params(args) -> int:
-    rc = load_run_config(args.config, args.set)
-    config = rc.model_config()
+    config = build_config(ModelConfig, load_run_config(args.config, args.set))
     for name, spec in layer_specs(config):
         print(f"{name:20s} weight{spec.weight_shape} bias({spec.out_channels},)  "
               f"{spec.param_count()}")

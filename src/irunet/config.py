@@ -1,12 +1,15 @@
 """Flat key=value run configuration shared by the CLI commands.
 
 One file holds architecture, optimizer and corruption settings; command
-line --set overrides win over file values, which win over defaults. Unknown
-keys are rejected, and every effective value is echoed into log headers so
-a run's provenance is always recoverable.
+line --set overrides win over file values, which win over defaults. The
+keys, their types and their defaults are the fields of ModelConfig and
+TrainConfig. Unknown keys are rejected, and every effective value is echoed
+into log headers so a run's provenance is always recoverable.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict, fields
 
 from .model import ModelConfig
 from .train import TrainConfig
@@ -16,144 +19,66 @@ class ConfigError(ValueError):
     """Bad key, value or file in a run configuration."""
 
 
-def _parse_widths(text: str) -> tuple[int, ...]:
-    try:
-        widths = tuple(int(p) for p in text.split(",") if p != "")
-    except ValueError as e:
-        raise ConfigError(f"stage_widths must be comma-separated integers: {text!r}") from e
-    return widths
-
-
-_SCHEMA: dict[str, type | str] = {
-    "input_channels": int,
-    "base_width": int,
-    "stage_widths": "widths",
-    "kernel": int,
-    "dilation_rate": int,
-    "branch_width": int,
-    "sigma_low": int,
-    "sigma_high": int,
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
-    "batch_size": int,
-    "max_steps": int,
-    "checkpoint_every": int,
-    "init_seed": int,
-    "epoch_seed": int,
-}
-
-
-class RunConfig:
-    """Merged ModelConfig + TrainConfig view with provenance echo."""
-
-    def __init__(self):
-        model = ModelConfig()
-        trainc = TrainConfig()
-        self.values: dict[str, object] = {
-            "input_channels": model.input_channels,
-            "base_width": model.base_width,
-            "stage_widths": model.stage_widths,
-            "kernel": model.kernel,
-            "dilation_rate": model.dilation_rate,
-            "branch_width": model.branch_width,
-            "sigma_low": model.sigma_low,
-            "sigma_high": model.sigma_high,
-            "learning_rate": trainc.learning_rate,
-            "beta1": trainc.beta1,
-            "beta2": trainc.beta2,
-            "epsilon": trainc.epsilon,
-            "batch_size": trainc.batch_size,
-            "max_steps": trainc.max_steps,
-            "checkpoint_every": trainc.checkpoint_every,
-            "init_seed": trainc.init_seed,
-            "epoch_seed": trainc.epoch_seed,
-        }
-
-    def set(self, key: str, raw: str) -> None:
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        kind = _SCHEMA[key]
-        if kind == "widths":
-            self.values[key] = _parse_widths(raw)
-            return
+def _set(values: dict[str, object], key: str, raw: str) -> None:
+    """Parse raw as the type of the key's default and store it."""
+    key, raw = key.strip(), raw.strip()
+    if key not in values:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    if isinstance(values[key], tuple):
         try:
-            self.values[key] = kind(raw)
+            values[key] = tuple(int(p) for p in raw.split(",") if p != "")
         except ValueError as e:
-            raise ConfigError(f"bad value for {key}: {raw!r}") from e
+            raise ConfigError(f"{key} must be comma-separated integers: {raw!r}") from e
+        return
+    try:
+        values[key] = type(values[key])(raw)
+    except ValueError as e:
+        raise ConfigError(f"bad value for {key}: {raw!r}") from e
 
-    def load_file(self, path) -> None:
+
+def load_run_config(config_path=None, overrides: list[str] | None = None) -> dict[str, object]:
+    """Defaults, then the file's key=value lines, then --set pairs: key -> value."""
+    values = {**asdict(ModelConfig()), **asdict(TrainConfig())}
+    if config_path is not None:
         try:
-            with open(path, "r", encoding="utf-8") as f:
+            with open(config_path, "r", encoding="utf-8") as f:
                 lines = f.readlines()
         except OSError as e:
-            raise ConfigError(f"cannot read config file {path}: {e}") from e
+            raise ConfigError(f"cannot read config file {config_path}: {e}") from e
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+                raise ConfigError(
+                    f"{config_path}:{lineno}: expected key=value, got {stripped!r}")
             key, _, value = stripped.partition("=")
-            self.set(key.strip(), value.strip())
-
-    def apply_overrides(self, pairs: list[str]) -> None:
-        for pair in pairs:
-            if "=" not in pair:
-                raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
-            key, _, value = pair.partition("=")
-            self.set(key.strip(), value.strip())
-
-    def model_config(self) -> ModelConfig:
-        v = self.values
-        try:
-            return ModelConfig(
-                input_channels=v["input_channels"],
-                base_width=v["base_width"],
-                stage_widths=tuple(v["stage_widths"]),
-                kernel=v["kernel"],
-                dilation_rate=v["dilation_rate"],
-                branch_width=v["branch_width"],
-                sigma_low=v["sigma_low"],
-                sigma_high=v["sigma_high"],
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-
-    def train_config(self) -> TrainConfig:
-        v = self.values
-        tc = TrainConfig(
-            learning_rate=v["learning_rate"],
-            beta1=v["beta1"],
-            beta2=v["beta2"],
-            epsilon=v["epsilon"],
-            batch_size=v["batch_size"],
-            max_steps=v["max_steps"],
-            checkpoint_every=v["checkpoint_every"],
-            init_seed=v["init_seed"],
-            epoch_seed=v["epoch_seed"],
-        )
-        try:
-            tc.validate()
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        return tc
-
-    def echo_lines(self) -> list[str]:
-        out = []
-        for key in sorted(self.values):
-            val = self.values[key]
-            if isinstance(val, tuple):
-                val = ",".join(str(x) for x in val)
-            out.append(f"{key}={val}")
-        return out
+            _set(values, key, value)
+    for pair in overrides or ():
+        if "=" not in pair:
+            raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
+        key, _, value = pair.partition("=")
+        _set(values, key, value)
+    return values
 
 
-def load_run_config(config_path=None, overrides: list[str] | None = None) -> RunConfig:
-    rc = RunConfig()
-    if config_path is not None:
-        rc.load_file(config_path)
-    if overrides:
-        rc.apply_overrides(overrides)
-    return rc
+def build_config(cls, values: dict[str, object]):
+    """Construct and validate one config dataclass from its fields' values."""
+    try:
+        return cls(**{f.name: values[f.name] for f in fields(cls)})
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def echo_lines(*configs) -> list[str]:
+    """Sorted key=value lines of the given configs, tuples joined by commas."""
+    values = {}
+    for config in configs:
+        values.update(asdict(config))
+    out = []
+    for key in sorted(values):
+        val = values[key]
+        if isinstance(val, tuple):
+            val = ",".join(str(x) for x in val)
+        out.append(f"{key}={val}")
+    return out

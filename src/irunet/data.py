@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import imageio, rng
-from .noise import NoiseSpec, corrupt
+from .noise import SIGMA_MAX, NoiseSpec, corrupt
 
 MANIFEST_HEADER = "clean_path,sigma,seed,split"
 SPLITS = ("train", "test")
@@ -31,8 +31,8 @@ class ManifestRow:
     def __post_init__(self):
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
-        if not 0 <= self.sigma <= 50:
-            raise ValueError(f"sigma must be an integer in 0..50, got {self.sigma}")
+        if not 0 <= self.sigma <= SIGMA_MAX:
+            raise ValueError(f"sigma must be an integer in 0..{SIGMA_MAX:g}, got {self.sigma}")
         if "," in self.clean_path or "\n" in self.clean_path:
             raise ValueError(f"path not representable in manifest: {self.clean_path!r}")
 
@@ -121,8 +121,8 @@ def build_manifest(clean_dir, sigma_set, base_seed: int,
     if not sigmas:
         raise ValueError("sigma_set must be non-empty")
     for s in sigmas:
-        if not 0 <= s <= 50:
-            raise ValueError(f"sigma values must lie in 0..50, got {s}")
+        if not 0 <= s <= SIGMA_MAX:
+            raise ValueError(f"sigma values must lie in 0..{SIGMA_MAX:g}, got {s}")
     if not 0.0 <= split_ratio <= 1.0:
         raise ValueError(f"split_ratio must be in [0,1], got {split_ratio}")
     names = list_images(clean_dir)

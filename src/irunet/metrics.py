@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import imageio
+from . import checkpoint, imageio
 from .data import DatasetManifest
 from .model import forward
 from .noise import NoiseSpec, corrupt
@@ -192,8 +192,6 @@ def evaluate_model(params, config, manifest: DatasetManifest, split: str,
 def evaluate(checkpoint_path, manifest: DatasetManifest, split: str,
              unit_scale_psnr: bool = False) -> MetricReport:
     """Load a checkpoint and score it on one split of the manifest."""
-    from .checkpoint import load_checkpoint
-
-    loaded = load_checkpoint(checkpoint_path)
+    loaded = checkpoint.load_checkpoint(checkpoint_path)
     return evaluate_model(loaded.params, loaded.config, manifest, split,
                           unit_scale_psnr=unit_scale_psnr)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
+from . import checkpoint, rng
 from .data import DatasetManifest, epoch_plan, materialize_batch
 from .metrics import mae_loss
 from .model import ModelConfig, ParamStore, build_params, forward
@@ -44,6 +44,9 @@ class TrainConfig:
     init_seed: int = 1
     epoch_seed: int = 2
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
@@ -60,10 +63,14 @@ class TrainResult:
     steps_run: int = 0
 
 
-def _save_training(params: ParamStore, config: ModelConfig, state: AdamState, path) -> None:
-    from .checkpoint import save_training_checkpoint
-
-    save_training_checkpoint(params, config, state, path)
+def _abort_saving_last_good(what: str, step: int, params: ParamStore, config: ModelConfig,
+                            state: AdamState, out_dir) -> NonFiniteLossError:
+    """Save the pre-step parameters and return the error that reports them."""
+    path = os.path.join(out_dir, "abort_last_good.ckpt")
+    checkpoint.save_training_checkpoint(params, config, state, path)
+    return NonFiniteLossError(
+        f"non-finite {what} at step {step}; last good parameters saved to {path}",
+        checkpoint_path=path)
 
 
 def train(model_config: ModelConfig, train_config: TrainConfig,
@@ -84,9 +91,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
 
     start_step = 0
     if resume is not None:
-        from .checkpoint import load_checkpoint
-
-        loaded = load_checkpoint(resume)
+        loaded = checkpoint.load_checkpoint(resume)
         if loaded.state is None:
             raise ValueError(f"{resume}: not a training checkpoint (no optimizer state)")
         params = loaded.params
@@ -121,19 +126,11 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
         loss = mae_loss(z, clean)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
-            path = os.path.join(out_dir, "abort_last_good.ckpt")
-            _save_training(params, model_config, state, path)
-            raise NonFiniteLossError(
-                f"non-finite loss at step {step}; last good parameters saved to {path}",
-                checkpoint_path=path)
+            raise _abort_saving_last_good("loss", step, params, model_config, state, out_dir)
         loss.backward()
         tensors = params.named_tensors()
         if any(t.grad is not None and not np.all(np.isfinite(t.grad)) for t in tensors.values()):
-            path = os.path.join(out_dir, "abort_last_good.ckpt")
-            _save_training(params, model_config, state, path)
-            raise NonFiniteLossError(
-                f"non-finite gradient at step {step}; last good parameters saved to {path}",
-                checkpoint_path=path)
+            raise _abort_saving_last_good("gradient", step, params, model_config, state, out_dir)
         adam_step(params, state, train_config.learning_rate,
                   train_config.beta1, train_config.beta2, train_config.epsilon)
         params.zero_grad()
@@ -147,9 +144,10 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
         log.flush()
 
         if (step + 1) % train_config.checkpoint_every == 0 and (step + 1) < train_config.max_steps:
-            _save_training(params, model_config, state, checkpoint_path(step + 1))
+            checkpoint.save_training_checkpoint(params, model_config, state,
+                                                checkpoint_path(step + 1))
 
     final = checkpoint_path(train_config.max_steps)
-    _save_training(params, model_config, state, final)
+    checkpoint.save_training_checkpoint(params, model_config, state, final)
     result.final_checkpoint = final
     return result

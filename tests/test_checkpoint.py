@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -142,3 +143,28 @@ def test_not_a_checkpoint_rejected(tmp_path):
     bad.write_bytes(b"definitely not a checkpoint")
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
+
+
+# Every field off its default; sizes and hashes recorded from the format-1
+# writer before the config field list was derived from ModelConfig.
+FIXTURE_CFG = ModelConfig(input_channels=1, base_width=2, stage_widths=(2, 3, 4, 5), kernel=5,
+                          dilation_rate=3, branch_width=1, sigma_low=5, sigma_high=40)
+
+
+@pytest.mark.parametrize("training, size, sha256", [
+    (False, 16036, "25543d513d9b275bcfdec2594d1d06e9018b85f3a55493bf2b6f15a2ffb5cb2c"),
+    (True, 48072, "5f9ba9e5544867ef496638503ddff1e3df7d541954b9c9df0bba896135904bb8"),
+])
+def test_bytes_match_format_1_fixture(tmp_path, training, size, sha256):
+    params = build_params(FIXTURE_CFG, 7)
+    path = tmp_path / "fixture.ckpt"
+    if training:
+        state = AdamState.initial(params)
+        state.t = 3
+        save_training_checkpoint(params, FIXTURE_CFG, state, path)
+    else:
+        save_checkpoint(params, FIXTURE_CFG, path)
+    buf = path.read_bytes()
+    assert len(buf) == size
+    assert hashlib.sha256(buf).hexdigest() == sha256
+    assert load_checkpoint(path).config == FIXTURE_CFG

@@ -132,6 +132,29 @@ class TestTrain:
                           if ln and not ln.startswith("#")]
         assert resumed_losses == full_losses[3:]
 
+    def test_resume_into_same_out_appends_and_echoes_checkpoint_config(self, tmp_path):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        code, out = train_tiny(tmp_path, manifest_path, max_steps=2)
+        assert code == 0
+        code, _ = train_tiny(tmp_path, manifest_path, max_steps=4,
+                             extra=["--resume", str(out / "step000002.ckpt"),
+                                    "--set", "base_width=8"])
+        assert code == 0
+        lines = (out / "train.log").read_text().splitlines()
+        steps = [ln.split("\t")[0] for ln in lines if not ln.startswith("#")]
+        assert steps == ["0", "1", "2", "3"]
+        first_segment_end = next(i for i, ln in enumerate(lines) if ln.startswith("1\t"))
+        resumed_segment = lines[first_segment_end + 1:]
+        assert "# max_steps=4" in resumed_segment
+        assert "# base_width=2" in resumed_segment
+        assert "# base_width=8" not in lines
+
+    def test_invalid_train_value_exits_2(self, tmp_path, capsys):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        code, _ = train_tiny(tmp_path, manifest_path, extra=["--set", "learning_rate=0"])
+        assert code == 2
+        assert "learning_rate" in capsys.readouterr().err
+
 
 class TestDenoiseEvaluate:
     @pytest.fixture
@@ -224,6 +247,10 @@ class TestParamsAndGradcheck:
         assert run_cli(["params", "--config", str(cfg), "--set", "base_width=16"]) == 0
         total_flag_wins = capsys.readouterr().out
         assert "total trainable parameters: 133971" in total_flag_wins
+
+    def test_params_ignores_train_keys_validity(self, capsys):
+        assert run_cli(["params", "--set", "learning_rate=0"]) == 0
+        assert "total trainable parameters: 133971" in capsys.readouterr().out
 
     def test_params_unknown_file_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
