@@ -49,7 +49,7 @@ def _config_fields(config: ModelConfig) -> list[tuple[str, int]]:
     return pairs
 
 
-def _config_from_fields(stored: dict[str, int]) -> ModelConfig:
+def _config_from_fields(stored: dict[str, int], path) -> ModelConfig:
     default = ModelConfig()
     expected = {name for name, _ in _config_fields(default)}
     got = set(stored)
@@ -57,7 +57,7 @@ def _config_from_fields(stored: dict[str, int]) -> ModelConfig:
         missing = sorted(expected - got)
         unknown = sorted(got - expected)
         raise CheckpointError(
-            f"config field mismatch: missing {missing}, unknown {unknown}")
+            f"{path}: config field mismatch: missing {missing}, unknown {unknown}")
     values = {}
     for f in fields(ModelConfig):
         value = getattr(default, f.name)
@@ -65,7 +65,10 @@ def _config_from_fields(stored: dict[str, int]) -> ModelConfig:
             values[f.name] = tuple(stored[f"{WIDTH_PREFIX}{i}"] for i in range(len(value)))
         else:
             values[f.name] = stored[f.name]
-    return ModelConfig(**values)
+    try:
+        return ModelConfig(**values)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: invalid stored config: {e}") from e
 
 
 def _encode_name(name: str) -> bytes:
@@ -151,16 +154,25 @@ def _serialize(params: ParamStore, config: ModelConfig,
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
 
+def _write(path, params: ParamStore, config: ModelConfig, state: AdamState | None) -> None:
+    """Validate and serialize first, so a rejected save leaves no file behind."""
+    try:
+        config.validate()
+    except ValueError as e:
+        raise CheckpointError(f"{path}: refusing to save an invalid config: {e}") from e
+    data = _serialize(params, config, state)
+    with open(path, "wb") as f:
+        f.write(data)
+
+
 def save_checkpoint(params: ParamStore, config: ModelConfig, path) -> None:
     """Write a model checkpoint; round trip is bit-exact for float32 data."""
-    with open(path, "wb") as f:
-        f.write(_serialize(params, config))
+    _write(path, params, config, None)
 
 
 def save_training_checkpoint(params: ParamStore, config: ModelConfig,
                              state: AdamState, path) -> None:
-    with open(path, "wb") as f:
-        f.write(_serialize(params, config, state))
+    _write(path, params, config, state)
 
 
 @dataclass
@@ -196,7 +208,7 @@ def load_checkpoint(path, dtype=np.float32) -> LoadedCheckpoint:
         if name in stored:
             raise CheckpointError(f"{path}: duplicate config field {name!r}")
         stored[name] = r.i64()
-    config = _config_from_fields(stored)
+    config = _config_from_fields(stored, path)
 
     expected = {}
     for lname, spec in layer_specs(config):

@@ -76,12 +76,18 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_train(args) -> int:
-    values = load_run_config(args.config, args.set)
+    resumed = None if args.resume is None else load_checkpoint(args.resume).config
+    values = load_run_config(args.config, args.set, model=resumed)
     model_config = build_config(ModelConfig, values)
     train_config = build_config(TrainConfig, values)
-    if args.resume is not None:
-        # train() runs the checkpoint's architecture, so the header must echo it
-        model_config = load_checkpoint(args.resume).config
+    if resumed is not None:
+        # train() runs the checkpoint's architecture: a model key set to anything else conflicts
+        conflicts = [f"{mine} (checkpoint: {stored.partition('=')[2]})"
+                     for mine, stored in zip(echo_lines(model_config), echo_lines(resumed))
+                     if mine != stored]
+        if conflicts:
+            raise UsageError(f"--resume {args.resume}: model config differs from the "
+                             f"checkpoint's: {'; '.join(conflicts)}")
     manifest = DatasetManifest.load(args.manifest)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train.log")

@@ -36,9 +36,14 @@ def _set(values: dict[str, object], key: str, raw: str) -> None:
         raise ConfigError(f"bad value for {key}: {raw!r}") from e
 
 
-def load_run_config(config_path=None, overrides: list[str] | None = None) -> dict[str, object]:
-    """Defaults, then the file's key=value lines, then --set pairs: key -> value."""
-    values = {**asdict(ModelConfig()), **asdict(TrainConfig())}
+def load_run_config(config_path=None, overrides: list[str] | None = None,
+                    model: ModelConfig | None = None) -> dict[str, object]:
+    """Defaults, then the file's key=value lines, then --set pairs: key -> value.
+
+    The model keys default to `model`'s values when given (a resumed
+    checkpoint's config), else to ModelConfig's defaults.
+    """
+    values = {**asdict(model or ModelConfig()), **asdict(TrainConfig())}
     if config_path is not None:
         try:
             with open(config_path, "r", encoding="utf-8") as f:

@@ -44,14 +44,44 @@ def _png_chunks(buf: bytes, path):
             return
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
+def _average_row(line: bytes, up: bytes, bpp: int) -> bytearray:
+    """Average filter per channel: x = raw + (left + up) // 2, left to right."""
+    out = bytearray(len(line))
+    for ch in range(bpp):
+        a, row = 0, []
+        for r, b in zip(line[ch::bpp], up[ch::bpp]):
+            a = (r + ((a + b) >> 1)) & 0xFF
+            row.append(a)
+        out[ch::bpp] = row
+    return out
+
+
+def _paeth_row(line: bytes, up: bytes, bpp: int) -> bytearray:
+    """Paeth filter per channel (RFC 2083), left to right.
+
+    With left a, up b and up-left c the predictor distances are |b-c|,
+    |a-c| and |(a-c) + (b-c)|; numpy precomputes |b-c|, which needs no a.
+    """
+    upleft = bytes(bpp) + up[:-bpp]
+    dist_a = np.abs(np.frombuffer(up, np.uint8).astype(np.int16)
+                    - np.frombuffer(upleft, np.uint8)).astype(np.uint8).tobytes()
+    out = bytearray(len(line))
+    for ch in range(bpp):
+        a, row = 0, []
+        for r, b, c, pa in zip(line[ch::bpp], up[ch::bpp], upleft[ch::bpp], dist_a[ch::bpp]):
+            d = a - c
+            pb = abs(d)
+            pc = abs(d + b - c)
+            if pa <= pb and pa <= pc:
+                pred = a
+            elif pb <= pc:
+                pred = b
+            else:
+                pred = c
+            a = (r + pred) & 0xFF
+            row.append(a)
+        out[ch::bpp] = row
+    return out
 
 
 def _defilter(raw: bytes, width: int, height: int, path) -> np.ndarray:
@@ -59,33 +89,28 @@ def _defilter(raw: bytes, width: int, height: int, path) -> np.ndarray:
     stride = width * bpp
     if len(raw) != height * (stride + 1):
         raise ImageFormatError(f"{path}: PNG pixel data has wrong length")
-    out = np.zeros((height, stride), dtype=np.uint8)
-    prev = bytearray(stride)
-    for y in range(height):
-        ftype = raw[y * (stride + 1)]
-        line = bytearray(raw[y * (stride + 1) + 1:(y + 1) * (stride + 1)])
-        if ftype == 0:
-            pass
-        elif ftype == 1:  # Sub
-            for x in range(bpp, stride):
-                line[x] = (line[x] + line[x - bpp]) & 0xFF
-        elif ftype == 2:  # Up
-            for x in range(stride):
-                line[x] = (line[x] + prev[x]) & 0xFF
-        elif ftype == 3:  # Average
-            for x in range(stride):
-                left = line[x - bpp] if x >= bpp else 0
-                line[x] = (line[x] + ((left + prev[x]) >> 1)) & 0xFF
-        elif ftype == 4:  # Paeth
-            for x in range(stride):
-                left = line[x - bpp] if x >= bpp else 0
-                upleft = prev[x - bpp] if x >= bpp else 0
-                line[x] = (line[x] + _paeth(left, prev[x], upleft)) & 0xFF
-        else:
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    ftypes = rows[:, 0].tolist()
+    for ftype in ftypes:
+        if ftype > 4:
             raise ImageFormatError(f"{path}: unknown PNG filter type {ftype}")
-        out[y] = np.frombuffer(bytes(line), dtype=np.uint8)
-        prev = line
-    return out.reshape(height, width, bpp)
+    lines = rows[:, 1:].reshape(height, width, bpp)
+    out = np.empty((height, width, bpp), dtype=np.uint8)
+    above = np.zeros((width, bpp), dtype=np.uint8)  # the row above the first
+    for y, ftype in enumerate(ftypes):
+        line, cur = lines[y], out[y]
+        if ftype == 0:  # None
+            cur[...] = line
+        elif ftype == 1:  # Sub: a running sum per channel, mod 256 like the filter
+            np.cumsum(line, axis=0, dtype=np.uint8, out=cur)
+        elif ftype == 2:  # Up
+            np.add(line, above, out=cur)
+        else:  # Average, Paeth
+            defilter_row = _average_row if ftype == 3 else _paeth_row
+            cur.reshape(-1)[...] = np.frombuffer(
+                defilter_row(line.tobytes(), above.tobytes(), bpp), dtype=np.uint8)
+        above = cur
+    return out
 
 
 _COLOR_TYPE_NAMES = {0: "grayscale", 3: "palette", 4: "grayscale+alpha", 6: "RGBA"}
@@ -107,6 +132,8 @@ def _load_png(buf: bytes, path) -> np.ndarray:
                 raise ImageFormatError(f"{path}: unsupported PNG compression/filter method")
             if interlace != 0:
                 raise ImageFormatError(f"{path}: interlaced PNG not supported")
+            if width == 0 or height == 0:
+                raise ImageFormatError(f"{path}: PNG has zero width or height")
         elif ctype == b"IDAT":
             idat.extend(data)
         elif ctype == b"IEND":

@@ -14,7 +14,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checkpoint, imageio
 from .data import DatasetManifest
@@ -54,25 +53,27 @@ def _gaussian_window(n: int, sigma: float) -> np.ndarray:
 
 
 _WINDOW_1D = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+# valid outputs per banded matmul: each is one (m x m+10) band times m+10 input
+# rows (or columns), so the work stays O(H*W*(_CHUNK+10)) at any image size
+_CHUNK = 32
 
 
-def _filter_valid(img: np.ndarray) -> np.ndarray:
-    """Separable Gaussian correlation, valid positions only."""
-    t = sliding_window_view(img, SSIM_WINDOW, axis=0)
-    t = np.tensordot(t, _WINDOW_1D, axes=([2], [0]))
-    t = sliding_window_view(t, SSIM_WINDOW, axis=1)
-    return np.tensordot(t, _WINDOW_1D, axes=([2], [0]))
-
-
-def _ssim_channel(x: np.ndarray, y: np.ndarray) -> float:
-    mu_x = _filter_valid(x)
-    mu_y = _filter_valid(y)
-    var_x = _filter_valid(x * x) - mu_x * mu_x
-    var_y = _filter_valid(y * y) - mu_y * mu_y
-    cov = _filter_valid(x * y) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mu_x * mu_x + mu_y * mu_y + SSIM_C1) * (var_x + var_y + SSIM_C2)
-    return float(np.mean(num / den))
+def _filter_valid(maps: np.ndarray) -> np.ndarray:
+    """Separable Gaussian correlation over the last two axes, valid positions only."""
+    n = SSIM_WINDOW - 1
+    height, width = maps.shape[-2] - n, maps.shape[-1] - n
+    m = _CHUNK
+    band = np.zeros((m, m + n))  # row i holds the window at columns i..i+n
+    band[np.arange(m)[:, None], np.arange(m)[:, None] + np.arange(SSIM_WINDOW)] = _WINDOW_1D
+    rows = np.empty(maps.shape[:-2] + (height, maps.shape[-1]))
+    for r in range(0, height, m):
+        k = min(m, height - r)
+        np.matmul(band[:k, :k + n], maps[..., r:r + k + n, :], out=rows[..., r:r + k, :])
+    out = np.empty(maps.shape[:-2] + (height, width))
+    for c in range(0, width, m):
+        k = min(m, width - c)
+        np.matmul(rows[..., c:c + k + n], band[:k, :k + n].T, out=out[..., c:c + k])
+    return out
 
 
 def ssim(a: np.ndarray, b: np.ndarray) -> float:
@@ -89,9 +90,21 @@ def ssim(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape[0] < SSIM_WINDOW or a.shape[1] < SSIM_WINDOW:
         raise ValueError(
             f"image {a.shape[0]}x{a.shape[1]} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    x = a.astype(np.float64)
-    y = b.astype(np.float64)
-    return float(np.mean([_ssim_channel(x[:, :, c], y[:, :, c]) for c in range(x.shape[2])]))
+    # every channel's x, y, x^2+y^2 and xy as one [4,C,H,W] stack, filtered at once
+    stats = np.empty((4, a.shape[2], a.shape[0], a.shape[1]))
+    x, y = stats[0], stats[1]
+    x[...] = np.transpose(a, (2, 0, 1))
+    y[...] = np.transpose(b, (2, 0, 1))
+    np.add(x * x, y * y, out=stats[2])
+    np.multiply(x, y, out=stats[3])
+    mu_x, mu_y, sq_sum, xy = _filter_valid(stats)
+    mu_xy = mu_x * mu_y
+    # var_x + var_y as one difference: for a == b it is exactly 2*cov, so ssim(a, a) == 1.0
+    mu_sq = mu_x * mu_x + mu_y * mu_y
+    num = (2.0 * mu_xy + SSIM_C1) * (2.0 * (xy - mu_xy) + SSIM_C2)
+    den = (mu_sq + SSIM_C1) * ((sq_sum - mu_sq) + SSIM_C2)
+    per_channel = (num / den).reshape(num.shape[0], -1).mean(axis=1)
+    return float(np.mean(per_channel))
 
 
 # ------------------------------------------------------------- evaluation

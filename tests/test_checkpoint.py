@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -168,3 +170,64 @@ def test_bytes_match_format_1_fixture(tmp_path, training, size, sha256):
     assert len(buf) == size
     assert hashlib.sha256(buf).hexdigest() == sha256
     assert load_checkpoint(path).config == FIXTURE_CFG
+
+
+def invalid_config():
+    cfg = dataclasses.replace(CFG)
+    cfg.sigma_low = 60  # above sigma_high, set after construction skips __post_init__
+    return cfg
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_save_rejects_invalid_config_before_creating_file(tmp_path, training):
+    params = build_params(CFG, 14)
+    path = tmp_path / "invalid.ckpt"
+    with pytest.raises(CheckpointError, match="sigma range") as err:
+        if training:
+            save_training_checkpoint(params, invalid_config(), AdamState.initial(params), path)
+        else:
+            save_checkpoint(params, invalid_config(), path)
+    assert str(path) in str(err.value)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_save_rejecting_invalid_config_leaves_existing_file_intact(tmp_path, training):
+    params = build_params(CFG, 15)
+    path = tmp_path / "kept.ckpt"
+    save_checkpoint(params, CFG, path)
+    before = path.read_bytes()
+    with pytest.raises(CheckpointError):
+        if training:
+            save_training_checkpoint(params, invalid_config(), AdamState.initial(params), path)
+        else:
+            save_checkpoint(params, invalid_config(), path)
+    assert path.read_bytes() == before
+
+
+def patched_config_file(tmp_path, old: bytes, new: bytes):
+    """A valid checkpoint with one run of header bytes replaced and the CRC redone."""
+    path = tmp_path / "patched.ckpt"
+    save_checkpoint(build_params(CFG, 16), CFG, path)
+    buf = path.read_bytes()
+    assert buf.count(old) == 1
+    body = buf[:-4].replace(old, new)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    return path
+
+
+def test_invalid_stored_config_is_checkpoint_error_naming_file(tmp_path):
+    name = b"\x09\x00sigma_low"
+    path = patched_config_file(tmp_path, name + struct.pack("<q", CFG.sigma_low),
+                               name + struct.pack("<q", 60))
+    with pytest.raises(CheckpointError, match="sigma range") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_config_field_mismatch_names_file(tmp_path):
+    path = patched_config_file(tmp_path, b"sigma_low", b"sigma_lox")
+    with pytest.raises(CheckpointError, match="field mismatch") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert "sigma_lox" in str(err.value)

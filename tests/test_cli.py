@@ -136,9 +136,11 @@ class TestTrain:
         _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
         code, out = train_tiny(tmp_path, manifest_path, max_steps=2)
         assert code == 0
-        code, _ = train_tiny(tmp_path, manifest_path, max_steps=4,
-                             extra=["--resume", str(out / "step000002.ckpt"),
-                                    "--set", "base_width=8"])
+        # no model key set: the run takes the checkpoint's 2-wide model, not the default
+        code = run_cli(["train", "--manifest", str(manifest_path), "--out", str(out),
+                        "--resume", str(out / "step000002.ckpt"),
+                        "--set", "batch_size=3", "--set", "max_steps=4",
+                        "--set", "checkpoint_every=100"])
         assert code == 0
         lines = (out / "train.log").read_text().splitlines()
         steps = [ln.split("\t")[0] for ln in lines if not ln.startswith("#")]
@@ -147,7 +149,54 @@ class TestTrain:
         resumed_segment = lines[first_segment_end + 1:]
         assert "# max_steps=4" in resumed_segment
         assert "# base_width=2" in resumed_segment
-        assert "# base_width=8" not in lines
+        assert "# stage_widths=2,2,2,2" in resumed_segment
+        assert "# base_width=16" not in lines
+
+    def test_resume_with_conflicting_model_key_exits_2(self, tmp_path, capsys):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        code, out = train_tiny(tmp_path, manifest_path, max_steps=2)
+        assert code == 0
+        capsys.readouterr()
+        config = tmp_path / "run.cfg"
+        config.write_text("stage_widths=2,2,2,4\n")
+        fresh = tmp_path / "fresh"
+        code = run_cli(["train", "--manifest", str(manifest_path), "--out", str(fresh),
+                        "--config", str(config), "--resume", str(out / "step000002.ckpt"),
+                        "--set", "base_width=8", "--set", "max_steps=4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "base_width=8 (checkpoint: 2)" in err
+        assert "stage_widths=2,2,2,4 (checkpoint: 2,2,2,2)" in err
+        assert "branch_width" not in err and "max_steps" not in err
+        assert not fresh.exists()  # rejected before the log is opened
+
+    def test_resume_with_config_file_conflict_keeps_log(self, tmp_path, capsys):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        code, out = train_tiny(tmp_path, manifest_path, max_steps=2)
+        assert code == 0
+        log_before = (out / "train.log").read_bytes()
+        config = tmp_path / "run.cfg"
+        config.write_text("branch_width=3\n")
+        code = run_cli(["train", "--manifest", str(manifest_path), "--out", str(out),
+                        "--config", str(config), "--resume", str(out / "step000002.ckpt")])
+        assert code == 2
+        assert "branch_width=3 (checkpoint: 1)" in capsys.readouterr().err
+        assert (out / "train.log").read_bytes() == log_before
+
+    def test_resume_with_model_keys_equal_to_checkpoint_resumes(self, tmp_path):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        code, out = train_tiny(tmp_path, manifest_path, max_steps=2)
+        assert code == 0
+        config = tmp_path / "run.cfg"
+        config.write_text("base_width=2\nstage_widths=2,2,2,2\n")
+        code = run_cli(["train", "--manifest", str(manifest_path), "--out", str(out),
+                        "--config", str(config), "--resume", str(out / "step000002.ckpt"),
+                        "--set", "branch_width=1", "--set", "batch_size=3",
+                        "--set", "max_steps=3", "--set", "checkpoint_every=100"])
+        assert code == 0
+        steps = [ln.split("\t")[0] for ln in (out / "train.log").read_text().splitlines()
+                 if not ln.startswith("#")]
+        assert steps == ["0", "1", "2"]
 
     def test_invalid_train_value_exits_2(self, tmp_path, capsys):
         _, _, manifest_path = corrupt_corpus(tmp_path, size=16)

@@ -55,39 +55,52 @@ class TestRoundTrips:
             save_image(np.zeros((4, 4, 3), dtype=np.uint8), tmp_path / "z.bmp")
 
 
+def encode_filtered(img, filters) -> bytes:
+    """Raw PNG scanlines of img, row y under filter type filters[y]; reference math."""
+    h, w, _ = img.shape
+    stride = w * 3
+    flat = img.reshape(h, stride).astype(np.int32)
+    rows = bytearray()
+    prev = np.zeros(stride, dtype=np.int32)
+    for y in range(h):
+        ftype = filters[y]
+        cur = flat[y]
+        left = np.concatenate([np.zeros(3, np.int32), cur[:-3]])
+        upleft = np.concatenate([np.zeros(3, np.int32), prev[:-3]])
+        if ftype == 0:
+            enc = cur
+        elif ftype == 1:
+            enc = cur - left
+        elif ftype == 2:
+            enc = cur - prev
+        elif ftype == 3:
+            enc = cur - (left + prev) // 2
+        else:
+            p = left + prev - upleft
+            pa, pb, pc = np.abs(p - left), np.abs(p - prev), np.abs(p - upleft)
+            pred = np.where((pa <= pb) & (pa <= pc), left,
+                            np.where(pb <= pc, prev, upleft))
+            enc = cur - pred
+        rows.append(ftype)
+        rows.extend((enc % 256).astype(np.uint8).tobytes())
+        prev = cur
+    return bytes(rows)
+
+
+def decode_filtered(tmp_path, img, filters):
+    h, w, _ = img.shape
+    path = tmp_path / "filtered.png"
+    path.write_bytes(make_png(w, h, 2, encode_filtered(img, filters)))
+    return load_image(path)
+
+
 class TestPngDecoding:
     def test_all_filter_types_decode(self, tmp_path):
-        # encode each scanline with every filter type, reference math inline
+        # encode each scanline with every filter type (reference math in encode_filtered)
         img = random_rgb(4, 6, 7)
         h, w = 6, 7
-        stride = w * 3
-        flat = img.reshape(h, stride).astype(np.int32)
-        rows = bytearray()
-        prev = np.zeros(stride, dtype=np.int32)
-        for y in range(h):
-            ftype = y % 5
-            cur = flat[y]
-            left = np.concatenate([np.zeros(3, np.int32), cur[:-3]])
-            upleft = np.concatenate([np.zeros(3, np.int32), prev[:-3]])
-            if ftype == 0:
-                enc = cur
-            elif ftype == 1:
-                enc = cur - left
-            elif ftype == 2:
-                enc = cur - prev
-            elif ftype == 3:
-                enc = cur - (left + prev) // 2
-            else:
-                p = left + prev - upleft
-                pa, pb, pc = np.abs(p - left), np.abs(p - prev), np.abs(p - upleft)
-                pred = np.where((pa <= pb) & (pa <= pc), left,
-                                np.where(pb <= pc, prev, upleft))
-                enc = cur - pred
-            rows.append(ftype)
-            rows.extend((enc % 256).astype(np.uint8).tobytes())
-            prev = cur
         path = tmp_path / "filters.png"
-        path.write_bytes(make_png(w, h, 2, bytes(rows)))
+        path.write_bytes(make_png(w, h, 2, encode_filtered(img, [y % 5 for y in range(h)])))
         assert np.array_equal(load_image(path), img)
 
     def test_grayscale_rejected(self, tmp_path):
@@ -128,6 +141,71 @@ class TestPngDecoding:
         path = tmp_path / "mystery.dat"
         path.write_bytes(b"GIF89a not supported here")
         with pytest.raises(ImageFormatError, match="unsupported"):
+            load_image(path)
+
+
+class TestDefilterOracle:
+    """Bit-exact decode of files encoded by the reference filter math above."""
+
+    @pytest.mark.parametrize("seed,h,w", [(20, 16, 16), (21, 9, 13), (22, 33, 5),
+                                          (23, 4, 40), (24, 1, 1), (25, 7, 1),
+                                          (26, 5, 2), (27, 1, 9), (28, 1, 2)])
+    def test_random_images_under_random_row_filters(self, tmp_path, seed, h, w):
+        img = random_rgb(seed, h, w)
+        filters = (rng.raw_uint64(seed + 100, 0, h) % np.uint64(5)).astype(int).tolist()
+        assert np.array_equal(decode_filtered(tmp_path, img, filters), img)
+
+    @pytest.mark.parametrize("ftype", [3, 4], ids=["average", "paeth"])
+    @pytest.mark.parametrize("h,w", [(12, 10), (1, 6), (6, 1), (3, 2)])
+    def test_single_filter_images(self, tmp_path, ftype, h, w):
+        img = random_rgb(30 + ftype, h, w)
+        assert np.array_equal(decode_filtered(tmp_path, img, [ftype] * h), img)
+
+    @pytest.mark.parametrize("w,h,raw", [(0, 5, bytes(range(5))), (4, 0, b"")])
+    def test_zero_width_or_height_rejected(self, tmp_path, w, h, raw):
+        path = tmp_path / "empty.png"
+        path.write_bytes(make_png(w, h, 2, raw))
+        with pytest.raises(ImageFormatError, match="zero width or height"):
+            load_image(path)
+
+    @pytest.mark.parametrize("ftype", range(5))
+    def test_each_filter_on_row_zero(self, tmp_path, ftype):
+        # the row above the first is zeros: Up and Paeth then see no upper pixels
+        img = random_rgb(40 + ftype, 3, 8)
+        assert np.array_equal(decode_filtered(tmp_path, img, [ftype, 0, 0]), img)
+
+    def test_saturated_pixels_wrap_mod_256(self, tmp_path):
+        img = np.full((4, 6, 3), 255, dtype=np.uint8)
+        img[::2, ::2] = 0
+        for ftype in range(5):
+            assert np.array_equal(decode_filtered(tmp_path, img, [ftype] * 4), img)
+
+    @pytest.mark.parametrize("bad", [5, 255])
+    def test_unknown_filter_byte_rejected(self, tmp_path, bad):
+        img = random_rgb(50, 4, 3)
+        raw = bytearray(encode_filtered(img, [1, 2, 3, 4]))
+        raw[2 * (3 * 3 + 1)] = bad  # filter byte of row 2
+        path = tmp_path / "bad.png"
+        path.write_bytes(make_png(3, 4, 2, bytes(raw)))
+        with pytest.raises(ImageFormatError, match=f"unknown PNG filter type {bad}$"):
+            load_image(path)
+
+    def test_first_unknown_filter_byte_is_named(self, tmp_path):
+        raw = bytearray(encode_filtered(random_rgb(51, 4, 3), [0, 0, 0, 0]))
+        raw[1 * 10] = 7
+        raw[3 * 10] = 9
+        path = tmp_path / "bad.png"
+        path.write_bytes(make_png(3, 4, 2, bytes(raw)))
+        with pytest.raises(ImageFormatError, match="unknown PNG filter type 7$"):
+            load_image(path)
+
+    @pytest.mark.parametrize("delta", [-1, 1, -10])
+    def test_wrong_length_stream_rejected(self, tmp_path, delta):
+        raw = encode_filtered(random_rgb(52, 4, 3), [1, 2, 3, 4])
+        raw = raw[:delta] if delta < 0 else raw + bytes(delta)
+        path = tmp_path / "len.png"
+        path.write_bytes(make_png(3, 4, 2, raw))
+        with pytest.raises(ImageFormatError, match="wrong length"):
             load_image(path)
 
 

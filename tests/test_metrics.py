@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from irunet import rng
+from irunet import metrics, rng
 from irunet.data import build_manifest
 from irunet.metrics import (MetricReport, ImageScore, evaluate_model, mae_loss,
                             psnr, ssim)
@@ -132,6 +133,60 @@ class TestSsim:
     def test_single_channel_accepted(self):
         a = synth_image(13, size=16)[:, :, 0]
         assert ssim(a, a) == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_ssim(a, b):
+    """Per-channel SSIM with one sliding-window tensordot per statistic."""
+    w = metrics._WINDOW_1D
+
+    def filt(img):
+        t = sliding_window_view(img, len(w), axis=0)
+        t = np.tensordot(t, w, axes=([2], [0]))
+        t = sliding_window_view(t, len(w), axis=1)
+        return np.tensordot(t, w, axes=([2], [0]))
+
+    def channel(x, y):
+        mu_x, mu_y = filt(x), filt(y)
+        var_x = filt(x * x) - mu_x * mu_x
+        var_y = filt(y * y) - mu_y * mu_y
+        cov = filt(x * y) - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + metrics.SSIM_C1) * (2.0 * cov + metrics.SSIM_C2)
+        den = (mu_x * mu_x + mu_y * mu_y + metrics.SSIM_C1) * (var_x + var_y + metrics.SSIM_C2)
+        return float(np.mean(num / den))
+
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    if x.ndim == 2:
+        x, y = x[:, :, None], y[:, :, None]
+    return float(np.mean([channel(x[:, :, c], y[:, :, c]) for c in range(x.shape[2])]))
+
+
+def ssim_pair(seed, shape, dtype):
+    """A clean image and a noisy copy of it, as uint8 or float64 on 0..255."""
+    clean = (rng.raw_uint64(seed, 0, int(np.prod(shape))) % np.uint64(256)).reshape(shape)
+    clean = clean.astype(np.float64)
+    noise = 40.0 * (rng.uniform(seed + 1, clean.size).reshape(shape) - 0.5)
+    noisy = np.clip(clean + noise, 0, 255)
+    if dtype == np.uint8:
+        return clean.astype(np.uint8), np.floor(noisy).astype(np.uint8)
+    return clean, noisy
+
+
+class TestSsimOracle:
+    """The banded-matmul SSIM against the per-channel tensordot reference."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 5])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64], ids=["uint8", "float64"])
+    @pytest.mark.parametrize("channels", [None, 1, 3], ids=["2d", "c1", "c3"])
+    @pytest.mark.parametrize("h,w", [(11, 11), (12, 40), (75, 33), (96, 160), (128, 128)])
+    def test_matches_reference(self, monkeypatch, chunk, dtype, channels, h, w):
+        if chunk is not None:
+            monkeypatch.setattr(metrics, "_CHUNK", chunk)
+        shape = (h, w) if channels is None else (h, w, channels)
+        a, b = ssim_pair(h * w + (channels or 0), shape, dtype)
+        expected = reference_ssim(a, b)
+        assert ssim(a, b) == pytest.approx(expected, rel=1e-12)
+        assert ssim(a, a) == 1.0
 
 
 class TestMetricReport:
