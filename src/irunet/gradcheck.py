@@ -8,11 +8,11 @@ element influences the check.
 
 Central differences are only a valid oracle where the map is differentiable.
 Relu makes that a real concern: a pre-activation closer to zero than the FD
-step times its sensitivity puts the probe inside the kink. Block and model
-cases therefore search derived seeds deterministically until every relu
-input clears a wide safety margin around zero (biases are randomized too;
-at zero-bias init a reduce conv fed only by relu outputs can land exactly
-on the kink).
+step times its sensitivity puts the probe inside the kink. Relu-fused layer,
+block and model cases therefore search derived seeds deterministically until
+every relu input clears a wide safety margin around zero (biases are
+randomized too in block and model cases; at zero-bias init a reduce conv fed
+only by relu outputs can land exactly on the kink).
 """
 
 from __future__ import annotations
@@ -148,13 +148,18 @@ def _generic_case(name: str, make: Callable[[int], tuple], tolerance: float,
 
 def _layer_case(name: str, spec: ConvSpec, in_shape, seed: int,
                 fault_scale: float = 1.0) -> CheckResult:
-    lp = init_params(spec, rng.hash64(seed, name, "params"), name=name, dtype=np.float64)
-    x = _random_tensor(rng.hash64(seed, name, "x"), in_shape)
     op = transposed_conv2d if spec.transposed else conv2d
-    return _run_case(
-        name, lambda: op(x, spec, lp),
-        {"x": x, "weight": lp.weight, "bias": lp.bias},
-        LAYER_TOL, fault_scale)
+
+    def make(case_seed: int):
+        lp = init_params(spec, rng.hash64(case_seed, name, "params"), name=name,
+                         dtype=np.float64)
+        x = _random_tensor(rng.hash64(case_seed, name, "x"), in_shape)
+        return (lambda: op(x, spec, lp)), {"x": x, "weight": lp.weight, "bias": lp.bias}
+
+    if spec.relu:  # a fused relu needs a probe point clear of its kink
+        return _generic_case(name, make, LAYER_TOL, seed, fault_scale)
+    build, targets = make(seed)
+    return _run_case(name, build, targets, LAYER_TOL, fault_scale)
 
 
 def check_layers(seed: int = 0, fault_scale: float = 1.0) -> list[CheckResult]:
@@ -162,6 +167,7 @@ def check_layers(seed: int = 0, fault_scale: float = 1.0) -> list[CheckResult]:
         _layer_case("conv2d_3x3_same", ConvSpec(3, 4, kernel=3), (2, 3, 5, 6), seed, fault_scale),
         _layer_case("conv2d_3x3_stride2", ConvSpec(3, 4, kernel=3, stride=2), (1, 3, 6, 6), seed, fault_scale),
         _layer_case("conv2d_3x3_dilation2", ConvSpec(2, 3, kernel=3, dilation=2), (1, 2, 7, 7), seed, fault_scale),
+        _layer_case("conv2d_3x3_relu", ConvSpec(3, 4, kernel=3, relu=True), (2, 3, 5, 6), seed, fault_scale),
         _layer_case("conv2d_2x2_valid", ConvSpec(2, 2, kernel=2, padding="valid"), (1, 2, 4, 5), seed, fault_scale),
         _layer_case("tconv_2x2_stride2", ConvSpec(3, 2, kernel=2, stride=2, transposed=True), (1, 3, 3, 3), seed, fault_scale),
         _layer_case("tconv_3x3_stride1", ConvSpec(2, 3, kernel=3, transposed=True), (1, 2, 4, 4), seed, fault_scale),

@@ -122,6 +122,8 @@ def _load_png(buf: bytes, path) -> np.ndarray:
     seen_iend = False
     for ctype, data in _png_chunks(buf, path):
         if ctype == b"IHDR":
+            if len(data) != 13:
+                raise ImageFormatError(f"{path}: IHDR chunk has {len(data)} bytes, expected 13")
             width, height, depth, color, comp, filt, interlace = struct.unpack(">IIBBBBB", data)
             if depth != 8:
                 raise ImageFormatError(f"{path}: only 8-bit PNG supported, got depth {depth}")
@@ -201,6 +203,8 @@ def _load_ppm(buf: bytes, path) -> np.ndarray:
     (width, height, maxval), start = _ppm_tokens(buf, 3, path)
     if maxval != 255:
         raise ImageFormatError(f"{path}: only maxval 255 PPM supported, got {maxval}")
+    if width == 0 or height == 0:
+        raise ImageFormatError(f"{path}: PPM has zero width or height")
     need = width * height * 3
     data = buf[start:start + need]
     if len(data) != need:

@@ -25,16 +25,27 @@ shuffle at 2x2 stride 2.
 The transposed convolution is defined as the linear adjoint of the
 same-spec convolution: its forward pass is the convolution's input
 gradient, so output spatial extent = input * stride.
+
+A spec with `relu=True` fuses the activation into conv2d: one graph node
+returns max(conv + bias, 0), bit-identical to conv2d followed by
+Tensor.relu, and its backward masks the output gradient by output > 0.
+The pre-activation goes to the relu observer first and is not kept.
+Plans are memoized per input size and geometry, and one backward builds
+the pitched output gradient once for both the input and weight gradients.
+The gradients the backward passes allocate (input, weight, bias) are fresh
+arrays, so they go to `Tensor.accumulate_grad` as owned and the first one
+becomes `.grad` without a copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import rng
-from .tensor import Tensor
+from .tensor import Tensor, report_relu_input
 
 
 def _pair(v) -> tuple[int, int]:
@@ -55,6 +66,7 @@ class ConvSpec:
     dilation: tuple[int, int] = (1, 1)
     padding: str = "same"
     transposed: bool = False
+    relu: bool = False  # the layer's output is max(conv + bias, 0)
 
     def __post_init__(self):
         self.kernel = _pair(self.kernel)
@@ -66,6 +78,8 @@ class ConvSpec:
             raise ValueError("kernel, stride and dilation must be >= 1")
         if self.padding not in ("same", "valid"):
             raise ValueError(f"unknown padding mode {self.padding!r}")
+        if self.relu and self.transposed:
+            raise ValueError("relu is fused into conv2d only, not into transposed_conv2d")
 
     @property
     def weight_shape(self) -> tuple[int, int, int, int]:
@@ -125,14 +139,14 @@ def conv_output_size(in_size: int, kernel: int, stride: int, dilation: int, padd
     return out
 
 
-def _geometry(h: int, w: int, spec: ConvSpec):
+def _geometry(h: int, w: int, kernel, stride, dilation, padding: str):
     """Output extents and (top, bottom, left, right) padding."""
-    kh, kw = spec.kernel
-    sh, sw = spec.stride
-    dh, dw = spec.dilation
-    out_h = conv_output_size(h, kh, sh, dh, spec.padding)
-    out_w = conv_output_size(w, kw, sw, dw, spec.padding)
-    if spec.padding == "same":
+    kh, kw = kernel
+    sh, sw = stride
+    dh, dw = dilation
+    out_h = conv_output_size(h, kh, sh, dh, padding)
+    out_w = conv_output_size(w, kw, sw, dw, padding)
+    if padding == "same":
         eff_h = (kh - 1) * dh + 1
         eff_w = (kw - 1) * dw + 1
         ph = max((out_h - 1) * sh + eff_h - h, 0)
@@ -167,28 +181,25 @@ class _Plan:
     fills_maps: bool  # the input covers every phase map: no zero padding
     fills_input: bool  # every input pixel lies in some phase map
     is_view: bool  # one phase map that is the input itself
+    reach: int  # the largest tap offset
+    disjoint: bool  # tap t reads all of phase map t: no two taps share an input pixel
 
     @property
     def length(self) -> int:
         return (self.out_h - 1) * self.wq + self.out_w
 
-    @property
-    def reach(self) -> int:
-        """The largest tap offset."""
-        return max(off for _, off in self.taps)
-
-    @property
-    def disjoint(self) -> bool:
-        """Tap t reads all of phase map t: no two taps share an input pixel."""
-        return all(t == p and off == 0 for t, (p, off) in enumerate(self.taps))
-
 
 def _plan(h: int, w: int, spec: ConvSpec) -> _Plan:
     """The phase maps and tap windows of `spec` on an h x w input."""
-    kh, kw = spec.kernel
-    sh, sw = spec.stride
-    dh, dw = spec.dilation
-    out_h, out_w, (pt, _, pl, _) = _geometry(h, w, spec)
+    return _plan_for(h, w, spec.kernel, spec.stride, spec.dilation, spec.padding)
+
+
+@lru_cache(maxsize=1024)
+def _plan_for(h: int, w: int, kernel, stride, dilation, padding: str) -> _Plan:
+    kh, kw = kernel
+    sh, sw = stride
+    dh, dw = dilation
+    out_h, out_w, (pt, _, pl, _) = _geometry(h, w, kernel, stride, dilation, padding)
     hq = out_h + (kh - 1) * dh // sh
     wq = out_w + (kw - 1) * dw // sw
     phases: list[tuple[int, int]] = []
@@ -211,8 +222,10 @@ def _plan(h: int, w: int, spec: ConvSpec) -> _Plan:
         fills_maps = fills_maps and (q0, p0, nr, nc) == (0, 0, hq, wq)
         covered += nr * nc
     is_view = (sh, sw) == (1, 1) and fills_maps and covered == h * w
+    reach = max(off for _, off in taps)
+    disjoint = all(t == p and off == 0 for t, (p, off) in enumerate(taps))
     return _Plan(out_h, out_w, hq, wq, tuple(taps), tuple(cuts),
-                 fills_maps, covered == h * w, is_view)
+                 fills_maps, covered == h * w, is_view, reach, disjoint)
 
 
 def _to_phases(x: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -307,11 +320,10 @@ def _stacked_weights(weight: np.ndarray) -> np.ndarray:
 
 # ----------------------------------------------------- raw numpy kernels
 
-def _conv2d_raw(x: np.ndarray, weight: np.ndarray, spec: ConvSpec) -> np.ndarray:
+def _conv2d_raw(x: np.ndarray, weight: np.ndarray, plan: _Plan) -> np.ndarray:
     """Cross-correlation without bias. x [N,C,H,W], weight [O,C,kh,kw]."""
-    n, _, h, w = x.shape
+    n = x.shape[0]
     out_c = weight.shape[0]
-    plan = _plan(h, w, spec)
     xq = _to_phases(x, plan)
     if plan.disjoint:
         y = np.matmul(_stacked_weights(weight), xq.reshape(n, -1, plan.hq * plan.wq))
@@ -322,14 +334,13 @@ def _conv2d_raw(x: np.ndarray, weight: np.ndarray, spec: ConvSpec) -> np.ndarray
     return np.ascontiguousarray(y.reshape(n, out_c, plan.out_h, plan.wq)[..., :plan.out_w])
 
 
-def _conv2d_grad_w(x: np.ndarray, g: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Gradient of the conv output w.r.t. weight. g [N,O,out_h,out_w]."""
-    n, c, h, w = x.shape
-    out_c = g.shape[1]
-    kh, kw = spec.kernel
-    plan = _plan(h, w, spec)
+def _conv2d_grad_w(x: np.ndarray, gp: np.ndarray, plan: _Plan, kernel) -> np.ndarray:
+    """Gradient of the conv output w.r.t. weight, from the pitched output gradient gp."""
+    c = x.shape[1]
+    out_c = gp.shape[1]
+    kh, kw = kernel
     xq = _to_phases(x, plan)
-    gp = _pitched(g, plan)[..., plan.reach:plan.reach + plan.length]
+    gp = gp[..., plan.reach:plan.reach + plan.length]
     gw = np.empty((kh * kw, out_c, c), dtype=x.dtype)
     for t, (p, off) in enumerate(plan.taps):
         window = xq[:, p, :, off:off + plan.length]
@@ -337,18 +348,16 @@ def _conv2d_grad_w(x: np.ndarray, g: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return np.ascontiguousarray(gw.reshape(kh, kw, out_c, c).transpose(2, 3, 0, 1))
 
 
-def _conv2d_grad_x(g: np.ndarray, weight: np.ndarray, x_shape, spec: ConvSpec) -> np.ndarray:
-    """Gradient of the conv output w.r.t. input: the adjoint map.
+def _conv2d_grad_x(gp: np.ndarray, weight: np.ndarray, x_shape, plan: _Plan) -> np.ndarray:
+    """Gradient of the conv output w.r.t. input, from the pitched output gradient gp.
 
     Each phase-map pixel gathers, tap by tap, the gradient of the output
     pixel that read it: the forward tap sum run backwards over the windows.
     """
-    n, c, h, w = x_shape
-    plan = _plan(h, w, spec)
-    gp = _pitched(g, plan)
+    n, c = x_shape[:2]
     if plan.disjoint:
         return _from_phases(np.matmul(_stacked_weights(weight).T, gp), plan, x_shape)
-    gq = np.empty((n, len(plan.cuts), c, plan.hq * plan.wq), dtype=g.dtype)
+    gq = np.empty((n, len(plan.cuts), c, plan.hq * plan.wq), dtype=gp.dtype)
     weights = _tap_weights(weight)
     for p in range(len(plan.cuts)):
         _tap_sum(gq[:, p], [(wt.T, gp, plan.reach - off)
@@ -373,34 +382,30 @@ def _check_layer_input(x: Tensor, spec: ConvSpec, params: LayerParams) -> None:
 
 
 def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
-    """Strided/dilated 2-D convolution with per-channel bias."""
+    """Strided/dilated 2-D convolution with per-channel bias, and relu if the spec says so."""
     if spec.transposed:
         raise ValueError("conv2d called with a transposed spec")
     _check_layer_input(x, spec, params)
     weight, bias = params.weight, params.bias
-    y = _conv2d_raw(x.data, weight.data, spec)
+    plan = _plan(x.shape[2], x.shape[3], spec)
+    y = _conv2d_raw(x.data, weight.data, plan)
     y += bias.data[None, :, None, None]
+    if spec.relu:
+        report_relu_input(y)
+        # a fresh array: clamping y in place measured slower on large forward-only maps
+        y = np.maximum(y, 0)
 
     def backward(g: np.ndarray) -> None:
+        if spec.relu:
+            g = g * (y > 0)
+        gp = _pitched(g, plan)
         if x.requires_grad:
-            x.accumulate_grad(_conv2d_grad_x(g, weight.data, x.shape, spec))
+            x.accumulate_grad(_conv2d_grad_x(gp, weight.data, x.shape, plan), owned=True)
         if weight.requires_grad:
-            weight.accumulate_grad(_conv2d_grad_w(x.data, g, spec))
+            weight.accumulate_grad(_conv2d_grad_w(x.data, gp, plan, spec.kernel), owned=True)
         if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            bias.accumulate_grad(g.sum(axis=(0, 2, 3)), owned=True)
     return Tensor._make(y, (x, weight, bias), backward)
-
-
-def _adjoint_spec(spec: ConvSpec) -> ConvSpec:
-    """The plain convolution a transposed layer is the adjoint of."""
-    return ConvSpec(
-        in_channels=spec.out_channels,
-        out_channels=spec.in_channels,
-        kernel=spec.kernel,
-        stride=spec.stride,
-        dilation=spec.dilation,
-        padding="same",
-    )
 
 
 def transposed_conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
@@ -411,18 +416,20 @@ def transposed_conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     weight, bias = params.weight, params.bias
     n, _, h, w = x.shape
     sh, sw = spec.stride
-    conv_spec = _adjoint_spec(spec)
     out_shape = (n, spec.out_channels, h * sh, w * sw)
-    y = _conv2d_grad_x(x.data, weight.data, out_shape, conv_spec)
+    # the plan of the same-padded convolution this layer is the adjoint of
+    plan = _plan_for(h * sh, w * sw, spec.kernel, spec.stride, spec.dilation, "same")
+    y = _conv2d_grad_x(_pitched(x.data, plan), weight.data, out_shape, plan)
     y += bias.data[None, :, None, None]
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x.accumulate_grad(_conv2d_raw(g, weight.data, conv_spec))
+            x.accumulate_grad(_conv2d_raw(g, weight.data, plan), owned=True)
         if weight.requires_grad:
-            weight.accumulate_grad(_conv2d_grad_w(g, x.data, conv_spec))
+            gw = _conv2d_grad_w(g, _pitched(x.data, plan), plan, spec.kernel)
+            weight.accumulate_grad(gw, owned=True)
         if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(0, 2, 3)))
+            bias.accumulate_grad(g.sum(axis=(0, 2, 3)), owned=True)
     return Tensor._make(y, (x, weight, bias), backward)
 
 
@@ -450,5 +457,5 @@ def avg_pool2d(x: Tensor, window: tuple[int, int] = (2, 2),
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             gx = np.repeat(np.repeat(g * inv, wh, axis=2), ww, axis=3)
-            x.accumulate_grad(gx)
+            x.accumulate_grad(gx, owned=True)
     return Tensor._make(y, (x,), backward)

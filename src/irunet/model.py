@@ -105,17 +105,19 @@ def layer_specs(config: ModelConfig) -> list[tuple[str, ConvSpec]]:
     specs: list[tuple[str, ConvSpec]] = []
 
     def inception(prefix: str, channels: int) -> None:
-        specs.append((f"{prefix}.b1", ConvSpec(channels, bw, kernel=k)))
-        specs.append((f"{prefix}.b2", ConvSpec(channels, bw, kernel=k)))
-        specs.append((f"{prefix}.b3", ConvSpec(channels, bw, kernel=k, dilation=d)))
-        specs.append((f"{prefix}.reduce", ConvSpec(3 * bw, channels, kernel=1)))
+        specs.append((f"{prefix}.b1", ConvSpec(channels, bw, kernel=k, relu=True)))
+        specs.append((f"{prefix}.b2", ConvSpec(channels, bw, kernel=k, relu=True)))
+        specs.append((f"{prefix}.b3", ConvSpec(channels, bw, kernel=k, dilation=d, relu=True)))
+        specs.append((f"{prefix}.reduce", ConvSpec(3 * bw, channels, kernel=1, relu=True)))
 
-    specs.append(("head", ConvSpec(config.input_channels, config.base_width, kernel=k)))
+    specs.append(("head", ConvSpec(config.input_channels, config.base_width, kernel=k,
+                                   relu=True)))
     c_in = config.base_width
     for i, c_out in enumerate(config.stage_widths, start=1):
-        specs.append((f"enc{i}.red.b1", ConvSpec(c_in, bw, kernel=k, stride=2)))
-        specs.append((f"enc{i}.red.b2", ConvSpec(c_in, bw, kernel=k, stride=2)))
-        specs.append((f"enc{i}.red.reduce", ConvSpec(2 * bw + c_in, c_out, kernel=1)))
+        specs.append((f"enc{i}.red.b1", ConvSpec(c_in, bw, kernel=k, stride=2, relu=True)))
+        specs.append((f"enc{i}.red.b2", ConvSpec(c_in, bw, kernel=k, stride=2, relu=True)))
+        specs.append((f"enc{i}.red.reduce",
+                      ConvSpec(2 * bw + c_in, c_out, kernel=1, relu=True)))
         specs.append((f"enc{i}.red.shortcut", ConvSpec(c_in, c_out, kernel=1, stride=2)))
         inception(f"enc{i}.inc", c_out)
         c_in = c_out
@@ -125,7 +127,7 @@ def layer_specs(config: ModelConfig) -> list[tuple[str, ConvSpec]]:
     for i, c_out in enumerate(ladder, start=1):
         specs.append((f"dec{i}.up",
                       ConvSpec(c_in, c_out, kernel=2, stride=2, transposed=True)))
-        specs.append((f"dec{i}.merge", ConvSpec(2 * c_out, c_out, kernel=1)))
+        specs.append((f"dec{i}.merge", ConvSpec(2 * c_out, c_out, kernel=1, relu=True)))
         inception(f"dec{i}.inc", c_out)
         c_in = c_out
 
@@ -154,11 +156,11 @@ def _apply(x: Tensor, lp: LayerParams) -> Tensor:
 
 def inception_block(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
     """Three parallel 3x3 branches (one dilated), concat, 1x1 reduce, residual add."""
-    b1 = _apply(x, params[f"{prefix}.b1"]).relu()
-    b2 = _apply(x, params[f"{prefix}.b2"]).relu()
-    b3 = _apply(x, params[f"{prefix}.b3"]).relu()
+    b1 = _apply(x, params[f"{prefix}.b1"])
+    b2 = _apply(x, params[f"{prefix}.b2"])
+    b3 = _apply(x, params[f"{prefix}.b3"])
     merged = concat_channels([b1, b2, b3])
-    main = _apply(merged, params[f"{prefix}.reduce"]).relu()
+    main = _apply(merged, params[f"{prefix}.reduce"])
     return main + x
 
 
@@ -170,11 +172,11 @@ def inception_reduction_block(x: Tensor, params: ParamStore, prefix: str) -> Ten
     """
     if x.shape[2] % 2 or x.shape[3] % 2:
         raise ValueError(f"reduction block needs even spatial extents, got {x.shape}")
-    b1 = _apply(x, params[f"{prefix}.b1"]).relu()
-    b2 = _apply(x, params[f"{prefix}.b2"]).relu()
+    b1 = _apply(x, params[f"{prefix}.b1"])
+    b2 = _apply(x, params[f"{prefix}.b2"])
     pooled = avg_pool2d(x)
     merged = concat_channels([b1, b2, pooled])
-    main = _apply(merged, params[f"{prefix}.reduce"]).relu()
+    main = _apply(merged, params[f"{prefix}.reduce"])
     shortcut = _apply(x, params[f"{prefix}.shortcut"])
     return main + shortcut
 
@@ -195,7 +197,7 @@ def forward(x: Tensor, config: ModelConfig, params: ParamStore,
         raise ValueError(
             f"spatial extents {x.shape[2]}x{x.shape[3]} must be divisible by {DOWNSCALE_FACTOR}")
 
-    cur = _apply(x, params["head"]).relu()
+    cur = _apply(x, params["head"])
     skips = [cur]
     for i in range(1, 5):
         cur = inception_reduction_block(cur, params, f"enc{i}.red")
@@ -207,7 +209,7 @@ def forward(x: Tensor, config: ModelConfig, params: ParamStore,
     for i in range(1, 5):
         cur = _apply(cur, params[f"dec{i}.up"])
         cur = concat_channels([cur, skips.pop()])
-        cur = _apply(cur, params[f"dec{i}.merge"]).relu()
+        cur = _apply(cur, params[f"dec{i}.merge"])
         cur = inception_block(cur, params, f"dec{i}.inc")
 
     z = _apply(cur, params["tail"]).sigmoid()

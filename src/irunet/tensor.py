@@ -54,6 +54,12 @@ def observe_relu_inputs(callback: Callable) -> Iterator[None]:
         _relu_observer = prev
 
 
+def report_relu_input(data: np.ndarray) -> None:
+    """Hand a relu pre-activation array to the observer, if one is installed."""
+    if _relu_observer is not None:
+        _relu_observer(data)
+
+
 def grad_enabled() -> bool:
     return _grad_enabled
 
@@ -108,10 +114,19 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add g into .grad; the first g is stored as a copy unless `owned`.
+
+        `owned` says g is a fresh array the op allocated and holds no other
+        reference to, so .grad may adopt it. Anything else is copied: a view
+        (the channel slices of concat_channels), or a g the op also hands to
+        another parent (__add__ passes one g to both).
+        """
         if self.grad is None:
-            # a copy, never g itself: ops such as __add__ hand one g to two parents
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            if owned and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad += g
 
@@ -217,8 +232,7 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def relu(self) -> "Tensor":
-        if _relu_observer is not None:
-            _relu_observer(self.data)
+        report_relu_input(self.data)
         out_data = np.maximum(self.data, 0)
 
         def backward(g: np.ndarray) -> None:

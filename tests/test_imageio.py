@@ -137,6 +137,15 @@ class TestPngDecoding:
         with pytest.raises(ImageFormatError, match="CRC"):
             load_image(bad)
 
+    @pytest.mark.parametrize("size", [12, 14])
+    def test_wrong_size_ihdr_rejected(self, tmp_path, size):
+        # the CRC is valid, so only the length check stands between the chunk and unpack
+        ihdr = struct.pack(">IIBBBBB", 4, 4, 8, 2, 0, 0, 0).ljust(size, b"\0")[:size]
+        path = tmp_path / "ihdr.png"
+        path.write_bytes(PNG_SIGNATURE + png_chunk(b"IHDR", ihdr) + png_chunk(b"IEND", b""))
+        with pytest.raises(ImageFormatError, match=f"ihdr.png: IHDR chunk has {size} bytes"):
+            load_image(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "mystery.dat"
         path.write_bytes(b"GIF89a not supported here")
@@ -226,6 +235,13 @@ class TestPpmDecoding:
         path = tmp_path / "t.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
         with pytest.raises(ImageFormatError, match="truncated"):
+            load_image(path)
+
+    @pytest.mark.parametrize("dims", [b"0 5", b"5 0", b"0 0"])
+    def test_zero_width_or_height_rejected(self, tmp_path, dims):
+        path = tmp_path / "z.ppm"
+        path.write_bytes(b"P6\n" + dims + b"\n255\n")
+        with pytest.raises(ImageFormatError, match="z.ppm: PPM has zero width or height"):
             load_image(path)
 
     def test_p5_rejected(self, tmp_path):

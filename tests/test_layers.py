@@ -4,7 +4,7 @@ import pytest
 from irunet import layers, rng
 from irunet.layers import (ConvSpec, LayerParams, avg_pool2d, conv2d, conv_output_size,
                            glorot_bound, init_params, transposed_conv2d)
-from irunet.tensor import Tensor, no_grad
+from irunet.tensor import Tensor, concat_channels, no_grad
 
 
 def make_layer(spec, weight, bias=None, name="test"):
@@ -212,6 +212,79 @@ class TestDirectSummationOracle:
         _, _, expected = direct_conv(np.zeros((2, cout, h * s, w * s)), lp.weight.data,
                                      tspec.stride, tspec.dilation, "same", x.data)
         assert np.abs(out.data - expected).max() <= 1e-12
+
+
+# the relu geometries the model uses: 3x3, 3x3 dilation 2, 3x3 stride 2, 1x1
+RELU_GEOMETRIES = [dict(kernel=3), dict(kernel=3, dilation=2), dict(kernel=3, stride=2),
+                   dict(kernel=1)]
+
+
+def copy_layer(lp, spec):
+    return LayerParams(lp.name, spec, Tensor(lp.weight.data.copy(), requires_grad=True),
+                       Tensor(lp.bias.data.copy(), requires_grad=True))
+
+
+class TestFusedRelu:
+    """conv2d with relu=True against the composed conv2d(relu=False).relu(), in float64."""
+
+    @staticmethod
+    def specs(geometry, cin=3, cout=3):
+        return (ConvSpec(cin, cout, relu=True, **geometry),
+                ConvSpec(cin, cout, relu=False, **geometry))
+
+    @staticmethod
+    def layer(spec, seed):
+        lp = init_params(spec, seed, name=f"l{seed}", dtype=np.float64)
+        # nonzero biases move some outputs across the kink
+        lp.bias.data[...] = rng.uniform(rng.hash64(seed, "b"), spec.out_channels) * 0.6 - 0.3
+        return lp
+
+    @pytest.mark.parametrize("geometry", RELU_GEOMETRIES)
+    def test_forward_bit_identical(self, geometry):
+        fused, plain = self.specs(geometry)
+        lp = self.layer(fused, 1)
+        x = rand64(rng.hash64("fused-fwd", str(geometry)), (2, 3, 8, 6), requires_grad=False)
+        with no_grad():
+            a = conv2d(x, fused, lp)
+            b = conv2d(x, plain, copy_layer(lp, plain)).relu()
+        assert np.any(a.data == 0.0) and np.any(a.data > 0.0)
+        assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("geometry", RELU_GEOMETRIES)
+    def test_gradients_bit_identical_with_shared_input(self, geometry):
+        # as in the inception block: one input feeds three relu convs, whose
+        # concat goes through a 1x1 reduce and a residual add of the input
+        fused, plain = self.specs(geometry)
+        reduce_spec = ConvSpec(9, 3, kernel=1)
+        branches = [self.layer(fused, seed) for seed in (2, 3, 4)]
+        reduce_lp = self.layer(reduce_spec, 5)
+        x_data = rand64(rng.hash64("fused-bwd", str(geometry)), (2, 3, 8, 6)).data
+        grads = []
+        for spec in (fused, plain):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            convs = [copy_layer(lp, spec) for lp in branches]
+            red = copy_layer(reduce_lp, reduce_spec)
+            outs = [conv2d(x, spec, lp) for lp in convs]
+            if not spec.relu:
+                outs = [o.relu() for o in outs]
+            main = conv2d(concat_channels(outs), reduce_spec, red)
+            skip = x if spec.stride == (1, 1) else avg_pool2d(x)
+            out = main + skip
+            proj = rand64(rng.hash64("fused-proj", str(geometry)), out.shape, requires_grad=False)
+            (out * proj).sum().backward()
+            tensors = [x, red.weight, red.bias] + [t for lp in convs for t in (lp.weight, lp.bias)]
+            grads.append([t.grad for t in tensors])
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
+        # every gradient the fused graph holds is its own array
+        fused_grads = grads[0]
+        for i, a in enumerate(fused_grads):
+            for b in fused_grads[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_transposed_relu_rejected(self):
+        with pytest.raises(ValueError, match="relu"):
+            ConvSpec(2, 2, kernel=2, stride=2, transposed=True, relu=True)
 
 
 class TestTransposedConv2d:

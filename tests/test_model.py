@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from irunet import rng
+from irunet import model, rng
 from irunet.layers import conv2d
 from irunet.model import (ModelConfig, build_params, forward, inception_block,
                           inception_reduction_block, layer_specs, param_count)
-from irunet.tensor import Tensor, concat_channels, no_grad
+from irunet.tensor import Tensor, concat_channels, no_grad, observe_relu_inputs
 
 GOLDEN_DEFAULT_PARAM_COUNT = 133_971
 
@@ -165,6 +165,46 @@ class TestForward:
         z.mean().backward()
         for i, tap in enumerate(taps):
             assert tap.grad is not None and np.any(tap.grad != 0.0), f"skip {i} unreached"
+
+
+class TestFusedLayers:
+    def test_relu_observer_sees_each_relu_layer_unclamped(self):
+        config = ModelConfig()
+        relu_specs = [spec for _, spec in layer_specs(config) if spec.relu]
+        assert len(relu_specs) == 49
+        params = build_params(config, 10, dtype=np.float64)
+        seen = []
+        with no_grad(), observe_relu_inputs(lambda a: seen.append(a.copy())):
+            forward(rand64(21, (1, 3, 16, 16)), config, params)
+        # forward order is layer_specs order, so the i-th array has the i-th relu layer's width
+        assert [a.shape[1] for a in seen] == [spec.out_channels for spec in relu_specs]
+        assert all(np.any(a < 0) for a in seen)
+
+    def test_layers_called_through_three_argument_signature(self, monkeypatch):
+        # the benchmark's tracer replaces these two functions with wrappers that
+        # take exactly (x, spec, params) and wrap the output's backward closure
+        fwd_calls, bwd_calls = [], []
+
+        def strict(fn):
+            def wrapper(x, spec, params):
+                out = fn(x, spec, params)
+                fwd_calls.append(params.name)
+                inner = out._backward
+
+                def backward(g):
+                    bwd_calls.append(params.name)
+                    inner(g)
+                out._backward = backward
+                return out
+            return wrapper
+
+        monkeypatch.setattr(model, "conv2d", strict(model.conv2d))
+        monkeypatch.setattr(model, "transposed_conv2d", strict(model.transposed_conv2d))
+        params = build_params(SMALL, 11, dtype=np.float64)
+        forward(rand64(22, (1, 3, 16, 16), requires_grad=True), SMALL, params).mean().backward()
+        names = [name for name, _ in layer_specs(SMALL)]
+        assert fwd_calls == names
+        assert sorted(bwd_calls) == sorted(names)
 
 
 class TestParamCount:

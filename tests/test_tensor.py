@@ -166,6 +166,19 @@ class TestConcatChannels:
         assert np.array_equal(a.grad, np.ones(a.shape))
         assert np.array_equal(b.grad, np.ones(b.shape))
 
+    def test_part_gradients_copy_their_slices(self):
+        # a part that also feeds another op accumulates into its .grad; were
+        # that .grad a view of the concat's gradient, the concat's would change
+        a = rand64(17, (1, 2, 2, 2))
+        b = rand64(18, (1, 3, 2, 2))
+        c = concat_channels([a, b])
+        p = rand64(19, c.shape, requires_grad=False)
+        q = rand64(20, a.shape, requires_grad=False)
+        ((c * p).sum() + (a * q).sum()).backward()
+        assert np.array_equal(c.grad, p.data)
+        assert np.array_equal(a.grad, p.data[:, :2] + q.data)
+        assert not np.shares_memory(a.grad, c.grad)
+
     def test_spatial_mismatch_rejected(self):
         a = rand64(15, (1, 2, 4, 4))
         b = rand64(16, (1, 2, 4, 5))
