@@ -20,7 +20,7 @@ from .metrics import evaluate
 from .model import DOWNSCALE_FACTOR, ModelConfig, forward, layer_specs, param_count
 from .noise import SIGMA_MAX, NoiseSpec, corrupt
 from .tensor import no_grad
-from .train import NonFiniteLossError, TrainConfig, train
+from .train import NonFiniteLossError, TrainConfig, check_resume, train
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -76,11 +76,13 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_train(args) -> int:
-    resumed = None if args.resume is None else load_checkpoint(args.resume).config
+    loaded = None if args.resume is None else load_checkpoint(args.resume)
+    resumed = None if loaded is None else loaded.config
     values = load_run_config(args.config, args.set, model=resumed)
     model_config = build_config(ModelConfig, values)
     train_config = build_config(TrainConfig, values)
-    if resumed is not None:
+    if loaded is not None:
+        check_resume(loaded.state, train_config.max_steps, args.resume)
         # train() runs the checkpoint's architecture: a model key set to anything else conflicts
         conflicts = [f"{mine} (checkpoint: {stored.partition('=')[2]})"
                      for mine, stored in zip(echo_lines(model_config), echo_lines(resumed))

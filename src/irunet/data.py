@@ -81,8 +81,11 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path) -> "DatasetManifest":
-        with open(path, "r", encoding="utf-8") as f:
-            lines = [ln.rstrip("\n") for ln in f]
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                lines = [ln.rstrip("\n") for ln in f]
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
         if not lines or lines[0] != MANIFEST_HEADER:
             raise ValueError(f"{path}: missing manifest header {MANIFEST_HEADER!r}")
         rows = []
@@ -92,8 +95,11 @@ class DatasetManifest:
             parts = line.split(",")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{i}: expected 4 fields, got {len(parts)}")
-            rows.append(ManifestRow(
-                clean_path=parts[0], sigma=int(parts[1]), seed=int(parts[2]), split=parts[3]))
+            try:
+                rows.append(ManifestRow(
+                    clean_path=parts[0], sigma=int(parts[1]), seed=int(parts[2]), split=parts[3]))
+            except ValueError as e:
+                raise ValueError(f"{path}:{i}: {e}") from None
         manifest = cls(rows, root=os.path.dirname(os.path.abspath(path)))
         missing = [manifest.resolve(r) for r in manifest.rows
                    if not os.path.isfile(manifest.resolve(r))]

@@ -5,8 +5,8 @@ gradient checking) and records the operation graph as it is built: each op
 output keeps references to its parents plus a closure that routes the
 incoming gradient back to them. Calling backward() on a scalar walks that
 recorded graph once in reverse topological order and accumulates gradients
-into `.grad`. The graph is per-forward-pass; nothing persists once the
-output tensors are released.
+into `.grad`. The graph is per-forward-pass: it lives as long as the output
+tensors do, or, inside `release_graph()`, until backward() has walked it.
 
 Shape discipline is strict: binary ops require exactly equal shapes, the
 only broadcasting allowed is a Python scalar against a tensor. Image data
@@ -23,6 +23,7 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 
 _grad_enabled = True
+_release_graph = False
 _relu_observer: Callable | None = None
 
 
@@ -36,6 +37,24 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled = prev
+
+
+@contextmanager
+def release_graph() -> Iterator[None]:
+    """Let backward() free the graph as it walks it, inside the block.
+
+    Once an interior node's backward has run, its `.grad`, backward closure
+    and parent links are dropped, so each activation and activation gradient
+    is freed once the rest of the sweep no longer needs it. Leaves keep their
+    `.grad`.
+    """
+    global _release_graph
+    prev = _release_graph
+    _release_graph = True
+    try:
+        yield
+    finally:
+        _release_graph = prev
 
 
 @contextmanager
@@ -291,7 +310,9 @@ class Tensor:
 
         Gradients of every reachable tensor that requires grad end up in its
         `.grad` (same shape as its data); unreached tensors keep grad None,
-        which callers treat as zero.
+        which callers treat as zero. Inside `release_graph()` only the leaves
+        keep theirs: each interior node (one with a backward closure) has its
+        `.grad`, closure and parents dropped once its backward has run.
         """
         if self.size != 1:
             raise ValueError(f"backward() root must be scalar, got shape {self.shape}")
@@ -314,9 +335,16 @@ class Tensor:
                     stack.append((parent, False))
 
         self.accumulate_grad(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        release = _release_graph
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            if release:
+                node.grad = node._backward = None
+                node._parents = ()
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:

@@ -152,6 +152,29 @@ class TestTrain:
         assert "# stage_widths=2,2,2,2" in resumed_segment
         assert "# base_width=16" not in lines
 
+    def test_resume_past_max_steps_exits_2_leaving_files_intact(self, tmp_path, capsys):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        code, out = train_tiny(tmp_path, manifest_path, max_steps=4,
+                               extra=["--set", "checkpoint_every=2"])
+        assert code == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        capsys.readouterr()
+        code = run_cli(["train", "--manifest", str(manifest_path), "--out", str(out),
+                        "--resume", str(out / "step000004.ckpt"),
+                        "--set", "max_steps=2", "--set", "checkpoint_every=2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "step000004.ckpt" in err and "step 4, past max_steps 2" in err
+        # neither the older checkpoint nor the log gains a byte
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+    def test_non_utf8_manifest_exits_2_naming_file(self, tmp_path, capsys):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        manifest_path.write_bytes(manifest_path.read_bytes() + b"\xff\n")
+        code, _ = train_tiny(tmp_path, manifest_path)
+        assert code == 2
+        assert f"{manifest_path}: not UTF-8 text" in capsys.readouterr().err
+
     def test_resume_with_conflicting_model_key_exits_2(self, tmp_path, capsys):
         _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
         code, out = train_tiny(tmp_path, manifest_path, max_steps=2)

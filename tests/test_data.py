@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,27 @@ class TestManifestIO:
         path = tmp_path / "m.csv"
         path.write_text("nope\n")
         with pytest.raises(ValueError, match="header"):
+            DatasetManifest.load(path)
+
+    def test_non_utf8_bytes_name_the_file(self, tmp_path, corpus8):
+        clean_dir, _ = corpus8
+        path = tmp_path / "m.csv"
+        build_manifest(clean_dir, [25], base_seed=3).save(path)
+        path.write_bytes(path.read_bytes().replace(b"img", b"im\xff", 1))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            DatasetManifest.load(path)
+
+    @pytest.mark.parametrize("field", [1, 2], ids=["sigma", "seed"])
+    def test_non_integer_field_names_file_and_line(self, tmp_path, corpus8, field):
+        clean_dir, _ = corpus8
+        path = tmp_path / "m.csv"
+        build_manifest(clean_dir, [25], base_seed=3).save(path)
+        lines = path.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[field] = "x"
+        lines[2] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*'x'"):
             DatasetManifest.load(path)
 
     def test_bad_split_rejected(self):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from irunet import rng
-from irunet.tensor import Tensor, concat_channels, no_grad
+from irunet.metrics import mae_loss
+from irunet.model import ModelConfig, build_params, forward
+from irunet.tensor import Tensor, concat_channels, no_grad, release_graph
+
+SMALL = ModelConfig(input_channels=3, base_width=4, stage_widths=(6, 8, 10, 12),
+                    branch_width=2)
 
 
 def t64(values, requires_grad=False):
@@ -188,3 +193,87 @@ class TestConcatChannels:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             concat_channels([])
+
+
+def graph_nodes(root):
+    """Every tensor the backward sweep from root reaches, root included."""
+    seen = {id(root): root}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def model_loss(config, dtype, batch, size, seed):
+    """MAE of a model forward pass, as a training step builds it; plus its leaves."""
+    params = build_params(config, seed, dtype=dtype)
+    x = Tensor(rng.uniform(seed + 1, batch * 3 * size * size).reshape(batch, 3, size, size),
+               requires_grad=True, dtype=dtype)
+    target = Tensor(rng.uniform(seed + 2, x.size).reshape(x.shape), dtype=dtype)
+    return mae_loss(forward(x, config, params), target), [x, *params.named_tensors().values()]
+
+
+def releases() -> bool:
+    """Whether backward() run here drops interior gradients."""
+    x = rand64(30, (2,))
+    y = x * x
+    y.sum().backward()
+    return y.grad is None
+
+
+class TestReleaseGraph:
+    @pytest.mark.parametrize("config,dtype", [(SMALL, np.float64), (ModelConfig(), np.float32)],
+                             ids=["small-f64", "default-f32"])
+    def test_leaf_gradients_bit_identical(self, config, dtype):
+        kept, kept_leaves = model_loss(config, dtype, 2, 32, 40)
+        kept.backward()
+        freed, freed_leaves = model_loss(config, dtype, 2, 32, 40)
+        with release_graph():
+            freed.backward()
+        for a, b in zip(kept_leaves, freed_leaves):
+            assert b.grad is not None and b.grad.dtype == dtype
+            assert np.array_equal(a.grad, b.grad)
+
+    def test_interior_nodes_cleared_and_leaves_keep_grad(self):
+        loss, leaves = model_loss(SMALL, np.float64, 1, 16, 41)
+        nodes = graph_nodes(loss)
+        interior = [n for n in nodes if n._backward is not None]
+        assert len(interior) > 50 and len(interior) + len(leaves) == len(nodes)
+        with release_graph():
+            loss.backward()
+        for node in interior:
+            assert node.grad is None and node._backward is None and node._parents == ()
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    def test_shared_subgraph_released_after_last_consumer(self):
+        # a concat part with a second consumer: its gradient sums both routes
+        # before its own backward runs, and that backward frees it
+        x = rand64(31, (1, 2, 2, 2))
+        a = x * 2.0
+        b = rand64(32, (1, 3, 2, 2))
+        c = concat_channels([a, b])
+        with release_graph():
+            ((c * c).sum() + (a * a).sum()).backward()
+        assert np.allclose(x.grad, 16.0 * x.data)
+        assert np.array_equal(b.grad, 2.0 * b.data)
+        assert a.grad is None and c.grad is None
+
+    def test_flag_restored_on_exit_exception_and_nesting(self):
+        assert not releases()
+        with release_graph():
+            assert releases()
+            with release_graph():
+                assert releases()
+            assert releases()
+            with pytest.raises(RuntimeError):
+                with release_graph():
+                    raise RuntimeError("inner")
+            assert releases()
+        assert not releases()
+        with pytest.raises(RuntimeError):
+            with release_graph():
+                raise RuntimeError("outer")
+        assert not releases()

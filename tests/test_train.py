@@ -1,6 +1,8 @@
+import gc
 import importlib
 import io
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -119,6 +121,62 @@ class TestTrainLoop:
         assert path is not None and os.path.isfile(path)
         rescued = load_checkpoint(path)  # last good parameters are loadable
         assert rescued.state is not None and rescued.state.t == 2
+
+    def test_resume_past_max_steps_rejected_before_writing(self, tiny_manifest, tmp_path):
+        out = tmp_path / "run"
+        train(TINY, tconf(max_steps=10, checkpoint_every=5), tiny_manifest, out,
+              log_stream=io.StringIO())
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        with pytest.raises(ValueError, match="step 10, past max_steps 5"):
+            train(TINY, tconf(max_steps=5, checkpoint_every=5), tiny_manifest, out,
+                  resume=str(out / "step000010.ckpt"), log_stream=io.StringIO())
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+        with pytest.raises(ValueError, match="max_steps"):
+            train(TINY, tconf(max_steps=5), tiny_manifest, tmp_path / "new",
+                  resume=str(out / "step000010.ckpt"), log_stream=io.StringIO())
+        assert not (tmp_path / "new").exists()
+
+    def test_previous_step_released_before_next_forward(self, tiny_manifest, tmp_path,
+                                                        monkeypatch):
+        # reference counting alone must free step N's batch and output: the
+        # collector stays off so a reference cycle would keep them alive. A
+        # tensor's array dies with it (Tensor has no __weakref__ slot)
+        real_forward = train_mod.forward
+        refs, dead_on_entry = [], []
+
+        def spy(x, config, params):
+            dead_on_entry.append([r() is None for r in refs])
+            z = real_forward(x, config, params)
+            refs[:] = [weakref.ref(x.data), weakref.ref(z.data)]
+            return z
+
+        monkeypatch.setattr(train_mod, "forward", spy)
+        gc.disable()
+        try:
+            train(TINY, tconf(max_steps=4), tiny_manifest, tmp_path / "w",
+                  log_stream=io.StringIO())
+        finally:
+            gc.enable()
+        assert dead_on_entry == [[]] + [[True, True]] * 3
+
+    def test_backward_called_through_one_argument_signature(self, tiny_manifest, tmp_path,
+                                                            monkeypatch):
+        # the benchmark's tracer replaces Tensor.backward with a wrapper that
+        # takes exactly (root), so train() must call loss.backward() bare
+        plain = train(TINY, tconf(max_steps=3), tiny_manifest, tmp_path / "plain",
+                      log_stream=io.StringIO())
+        real_backward = Tensor.backward
+        released = []
+
+        def wrapper(root):
+            real_backward(root)
+            released.append(root.grad is None)  # train() walks the graph in release mode
+
+        monkeypatch.setattr(Tensor, "backward", wrapper)
+        traced = train(TINY, tconf(max_steps=3), tiny_manifest, tmp_path / "traced",
+                       log_stream=io.StringIO())
+        assert released == [True] * 3
+        assert traced.losses == plain.losses
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
