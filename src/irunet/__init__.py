@@ -5,7 +5,7 @@ layers, the block architecture, AWGN dataset tooling, PSNR/SSIM metrics and
 an Adam training loop, all behind one CLI (`irunet`).
 """
 
-from .tensor import Tensor, concat_channels, no_grad, release_graph
+from .tensor import Tensor, concat_channels, no_grad
 from .layers import ConvSpec, LayerParams, avg_pool2d, conv2d, init_params, transposed_conv2d
 from .model import (ModelConfig, ParamStore, build_params, forward,
                     inception_block, inception_reduction_block, layer_specs, param_count)
@@ -20,7 +20,7 @@ from .train import NonFiniteLossError, TrainConfig, TrainResult, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "concat_channels", "no_grad", "release_graph",
+    "Tensor", "concat_channels", "no_grad",
     "ConvSpec", "LayerParams", "avg_pool2d", "conv2d", "init_params", "transposed_conv2d",
     "ModelConfig", "ParamStore", "build_params", "forward",
     "inception_block", "inception_reduction_block", "layer_specs", "param_count",

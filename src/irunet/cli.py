@@ -13,8 +13,8 @@ import time
 
 from . import gradcheck as gradcheck_mod
 from . import imageio
-from .checkpoint import CheckpointError, load_checkpoint
-from .config import ConfigError, build_config, echo_lines, load_run_config
+from .checkpoint import load_checkpoint
+from .config import build_config, echo_lines, load_run_config
 from .data import (DatasetManifest, IMAGE_EXTENSIONS, build_manifest, list_images)
 from .metrics import evaluate
 from .model import DOWNSCALE_FACTOR, ModelConfig, forward, layer_specs, param_count
@@ -252,13 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigError, CheckpointError, imageio.ImageFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, ValueError, OSError) as e:
+    except (UsageError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

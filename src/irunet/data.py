@@ -89,6 +89,7 @@ class DatasetManifest:
         if not lines or lines[0] != MANIFEST_HEADER:
             raise ValueError(f"{path}: missing manifest header {MANIFEST_HEADER!r}")
         rows = []
+        first_line: dict[tuple, int] = {}  # (clean_path, sigma, seed) -> line
         for i, line in enumerate(lines[1:], start=2):
             if not line:
                 continue
@@ -96,10 +97,16 @@ class DatasetManifest:
             if len(parts) != 4:
                 raise ValueError(f"{path}:{i}: expected 4 fields, got {len(parts)}")
             try:
-                rows.append(ManifestRow(
-                    clean_path=parts[0], sigma=int(parts[1]), seed=int(parts[2]), split=parts[3]))
+                row = ManifestRow(
+                    clean_path=parts[0], sigma=int(parts[1]), seed=int(parts[2]), split=parts[3])
             except ValueError as e:
                 raise ValueError(f"{path}:{i}: {e}") from None
+            key = (row.clean_path, row.sigma, row.seed)
+            if key in first_line:
+                raise ValueError(f"{path}:{i}: duplicate row: clean_path, sigma and seed "
+                                 f"repeat line {first_line[key]}")
+            first_line[key] = i
+            rows.append(row)
         manifest = cls(rows, root=os.path.dirname(os.path.abspath(path)))
         missing = [manifest.resolve(r) for r in manifest.rows
                    if not os.path.isfile(manifest.resolve(r))]

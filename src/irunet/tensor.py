@@ -4,9 +4,10 @@ A Tensor wraps a contiguous numpy array (float32 by default, float64 for
 gradient checking) and records the operation graph as it is built: each op
 output keeps references to its parents plus a closure that routes the
 incoming gradient back to them. Calling backward() on a scalar walks that
-recorded graph once in reverse topological order and accumulates gradients
-into `.grad`. The graph is per-forward-pass: it lives as long as the output
-tensors do, or, inside `release_graph()`, until backward() has walked it.
+recorded graph once in reverse topological order, accumulates gradients
+into the leaves' `.grad` and frees each interior node as soon as its
+backward has run. The graph is per-forward-pass: one backward() consumes it,
+and a second backward() through it raises RuntimeError.
 
 Shape discipline is strict: binary ops require exactly equal shapes, the
 only broadcasting allowed is a Python scalar against a tensor. Image data
@@ -23,7 +24,6 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 
 _grad_enabled = True
-_release_graph = False
 _relu_observer: Callable | None = None
 
 
@@ -37,24 +37,6 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_enabled = prev
-
-
-@contextmanager
-def release_graph() -> Iterator[None]:
-    """Let backward() free the graph as it walks it, inside the block.
-
-    Once an interior node's backward has run, its `.grad`, backward closure
-    and parent links are dropped, so each activation and activation gradient
-    is freed once the rest of the sweep no longer needs it. Leaves keep their
-    `.grad`.
-    """
-    global _release_graph
-    prev = _release_graph
-    _release_graph = True
-    try:
-        yield
-    finally:
-        _release_graph = prev
 
 
 @contextmanager
@@ -79,8 +61,10 @@ def report_relu_input(data: np.ndarray) -> None:
         _relu_observer(data)
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
+def _walked(g: np.ndarray) -> None:
+    """The backward closure of a node whose backward has already run."""
+    raise RuntimeError("backward() through a graph that backward() already walked; "
+                       "run the forward pass again")
 
 
 class Tensor:
@@ -126,9 +110,6 @@ class Tensor:
         if self.size != 1:
             raise ValueError(f"item() needs a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -308,11 +289,14 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep from this scalar through the recorded graph.
 
-        Gradients of every reachable tensor that requires grad end up in its
+        Every reachable leaf that requires grad ends up with its gradient in
         `.grad` (same shape as its data); unreached tensors keep grad None,
-        which callers treat as zero. Inside `release_graph()` only the leaves
-        keep theirs: each interior node (one with a backward closure) has its
-        `.grad`, closure and parents dropped once its backward has run.
+        which callers treat as zero. The sweep consumes the graph: once an
+        interior node's (an op output's) backward has run, its `.grad`,
+        closure and parent links are dropped, so each activation and its
+        gradient are freed as soon as the rest of the sweep no longer needs
+        them. A later backward() that reaches such a node raises
+        RuntimeError before any gradient moves.
         """
         if self.size != 1:
             raise ValueError(f"backward() root must be scalar, got shape {self.shape}")
@@ -328,6 +312,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _walked:
+                _walked(node.grad)  # raises before any gradient moves
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -335,16 +321,13 @@ class Tensor:
                     stack.append((parent, False))
 
         self.accumulate_grad(np.ones_like(self.data))
-        release = _release_graph
         while order:
             node = order.pop()
             if node._backward is None:
                 continue
             if node.grad is not None:
                 node._backward(node.grad)
-            if release:
-                node.grad = node._backward = None
-                node._parents = ()
+            node.grad, node._backward, node._parents = None, _walked, ()
 
 
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:
@@ -365,14 +348,6 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
                 f"spatial mismatch in concat_channels: {first.shape} vs {p.shape}")
         if p.dtype != first.dtype:
             raise ValueError(f"dtype mismatch in concat_channels: {first.dtype} vs {p.dtype}")
-    if len(parts) == 1:
-        only = parts[0]
-
-        def backward_id(g: np.ndarray) -> None:
-            if only.requires_grad:
-                only.accumulate_grad(g)
-        return Tensor._make(only.data.copy(), (only,), backward_id)
-
     offsets = np.cumsum([0] + [p.shape[1] for p in parts])
 
     def backward(g: np.ndarray) -> None:

@@ -23,7 +23,6 @@ from .data import DatasetManifest, epoch_plan, materialize_batch
 from .metrics import mae_loss
 from .model import ModelConfig, ParamStore, build_params, forward
 from .optim import AdamState, adam_step
-from .tensor import release_graph
 
 
 class NonFiniteLossError(RuntimeError):
@@ -160,8 +159,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise _abort_saving_last_good("loss", step, params, model_config, state, out_dir)
-        with release_graph():
-            loss.backward()
+        loss.backward()
         # step N's batch and outputs must not live through step N+1's forward
         del noisy, clean, z, loss
         tensors = params.named_tensors()

@@ -36,6 +36,22 @@ def write_corpus(dirpath, count: int, size: int = 32, tag: str = "img",
     return names
 
 
+def received_grads(node) -> list:
+    """Wrap node's backward closure; the returned list collects each gradient it is handed.
+
+    backward() drops an op output's `.grad` once its backward has run, so a
+    test reads the array the closure received instead.
+    """
+    received = []
+    inner = node._backward
+
+    def backward(g):
+        received.append(g)
+        inner(g)
+    node._backward = backward
+    return received
+
+
 @pytest.fixture
 def corpus8(tmp_path):
     """Eight 32x32 clean images in a temp directory."""

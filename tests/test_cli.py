@@ -175,6 +175,17 @@ class TestTrain:
         assert code == 2
         assert f"{manifest_path}: not UTF-8 text" in capsys.readouterr().err
 
+    def test_duplicate_manifest_row_exits_2_naming_file_and_line(self, tmp_path, capsys):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        lines = manifest_path.read_text().splitlines()
+        manifest_path.write_text("\n".join(lines + [lines[1]]) + "\n")
+        code, out = train_tiny(tmp_path, manifest_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest_path}:{len(lines) + 1}: duplicate row")
+        assert err.rstrip().endswith("line 2")
+        assert not out.exists()
+
     def test_resume_with_conflicting_model_key_exits_2(self, tmp_path, capsys):
         _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
         code, out = train_tiny(tmp_path, manifest_path, max_steps=2)

@@ -84,6 +84,20 @@ class TestManifestIO:
         with pytest.raises(ValueError, match="unique"):
             DatasetManifest([row, row])
 
+    def test_duplicate_row_on_load_names_file_and_both_lines(self, tmp_path, corpus8):
+        clean_dir, _ = corpus8
+        path = tmp_path / "m.csv"
+        build_manifest(clean_dir, [25], base_seed=3).save(path)
+        lines = path.read_text().splitlines()
+        # the same (clean_path, sigma, seed) in the other split is still a duplicate
+        parts = lines[2].split(",")
+        parts[3] = "test" if parts[3] == "train" else "train"
+        lines.append(",".join(parts))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{len(lines)}: "
+                                             f"duplicate row.* line 3$"):
+            DatasetManifest.load(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("nope\n")

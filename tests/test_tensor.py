@@ -4,7 +4,9 @@ import pytest
 from irunet import rng
 from irunet.metrics import mae_loss
 from irunet.model import ModelConfig, build_params, forward
-from irunet.tensor import Tensor, concat_channels, no_grad, release_graph
+from irunet.tensor import Tensor, _walked, concat_channels, no_grad
+
+from conftest import received_grads
 
 SMALL = ModelConfig(input_channels=3, base_width=4, stage_widths=(6, 8, 10, 12),
                     branch_width=2)
@@ -111,9 +113,11 @@ class TestBackward:
         # __add__ hands one g to both parents; the first write must not alias it
         x = rand64(10, (2, 3))
         y = x + x
+        y_grads = received_grads(y)
         y.sum().backward()
+        y_grad, = y_grads
         assert np.array_equal(x.grad, np.full((2, 3), 2.0))
-        assert np.array_equal(y.grad, np.ones((2, 3)))
+        assert np.array_equal(y_grad, np.ones((2, 3)))
 
     def test_unreached_values_have_no_grad(self):
         x = rand64(3, (2,))
@@ -163,6 +167,12 @@ class TestConcatChannels:
         a = rand64(12, (1, 2, 2, 2))
         out = concat_channels([a])
         assert np.array_equal(out.data, a.data)
+        assert not np.shares_memory(out.data, a.data)
+        out_grads = received_grads(out)
+        (out * 3.0).sum().backward()
+        out_grad, = out_grads
+        assert np.array_equal(a.grad, np.full(a.shape, 3.0))
+        assert not np.shares_memory(a.grad, out_grad)
 
     def test_gradient_routes_back_to_parts(self):
         a = rand64(13, (1, 2, 2, 2))
@@ -179,10 +189,12 @@ class TestConcatChannels:
         c = concat_channels([a, b])
         p = rand64(19, c.shape, requires_grad=False)
         q = rand64(20, a.shape, requires_grad=False)
+        c_grads = received_grads(c)
         ((c * p).sum() + (a * q).sum()).backward()
-        assert np.array_equal(c.grad, p.data)
+        c_grad, = c_grads
+        assert np.array_equal(c_grad, p.data)
         assert np.array_equal(a.grad, p.data[:, :2] + q.data)
-        assert not np.shares_memory(a.grad, c.grad)
+        assert not np.shares_memory(a.grad, c_grad)
 
     def test_spatial_mismatch_rejected(self):
         a = rand64(15, (1, 2, 4, 4))
@@ -216,36 +228,15 @@ def model_loss(config, dtype, batch, size, seed):
     return mae_loss(forward(x, config, params), target), [x, *params.named_tensors().values()]
 
 
-def releases() -> bool:
-    """Whether backward() run here drops interior gradients."""
-    x = rand64(30, (2,))
-    y = x * x
-    y.sum().backward()
-    return y.grad is None
-
-
 class TestReleaseGraph:
-    @pytest.mark.parametrize("config,dtype", [(SMALL, np.float64), (ModelConfig(), np.float32)],
-                             ids=["small-f64", "default-f32"])
-    def test_leaf_gradients_bit_identical(self, config, dtype):
-        kept, kept_leaves = model_loss(config, dtype, 2, 32, 40)
-        kept.backward()
-        freed, freed_leaves = model_loss(config, dtype, 2, 32, 40)
-        with release_graph():
-            freed.backward()
-        for a, b in zip(kept_leaves, freed_leaves):
-            assert b.grad is not None and b.grad.dtype == dtype
-            assert np.array_equal(a.grad, b.grad)
-
     def test_interior_nodes_cleared_and_leaves_keep_grad(self):
         loss, leaves = model_loss(SMALL, np.float64, 1, 16, 41)
         nodes = graph_nodes(loss)
         interior = [n for n in nodes if n._backward is not None]
         assert len(interior) > 50 and len(interior) + len(leaves) == len(nodes)
-        with release_graph():
-            loss.backward()
+        loss.backward()
         for node in interior:
-            assert node.grad is None and node._backward is None and node._parents == ()
+            assert node.grad is None and node._backward is _walked and node._parents == ()
         assert all(leaf.grad is not None for leaf in leaves)
 
     def test_shared_subgraph_released_after_last_consumer(self):
@@ -255,25 +246,26 @@ class TestReleaseGraph:
         a = x * 2.0
         b = rand64(32, (1, 3, 2, 2))
         c = concat_channels([a, b])
-        with release_graph():
-            ((c * c).sum() + (a * a).sum()).backward()
+        ((c * c).sum() + (a * a).sum()).backward()
         assert np.allclose(x.grad, 16.0 * x.data)
         assert np.array_equal(b.grad, 2.0 * b.data)
         assert a.grad is None and c.grad is None
 
-    def test_flag_restored_on_exit_exception_and_nesting(self):
-        assert not releases()
-        with release_graph():
-            assert releases()
-            with release_graph():
-                assert releases()
-            assert releases()
-            with pytest.raises(RuntimeError):
-                with release_graph():
-                    raise RuntimeError("inner")
-            assert releases()
-        assert not releases()
-        with pytest.raises(RuntimeError):
-            with release_graph():
-                raise RuntimeError("outer")
-        assert not releases()
+    def test_second_backward_from_same_root_raises(self):
+        # were interior gradients kept, this would compound them into x.grad == [8, 16]
+        x = t64([1.0, 2.0], requires_grad=True)
+        s = (x * x).sum()
+        s.backward()
+        with pytest.raises(RuntimeError, match="already walked"):
+            s.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])
+
+    def test_op_on_walked_tensor_raises_before_any_gradient_moves(self):
+        x = t64([1.0, 2.0], requires_grad=True)
+        w = t64([3.0, 4.0], requires_grad=True)
+        y = x * x
+        y.sum().backward()
+        x.zero_grad()
+        with pytest.raises(RuntimeError, match="already walked"):
+            (y * w).sum().backward()
+        assert x.grad is None and w.grad is None
