@@ -20,7 +20,7 @@ from .metrics import evaluate
 from .model import DOWNSCALE_FACTOR, ModelConfig, forward, layer_specs, param_count
 from .noise import SIGMA_MAX, NoiseSpec, corrupt
 from .tensor import no_grad
-from .train import NonFiniteLossError, TrainConfig, check_resume, train
+from .train import NonFiniteLossError, TrainConfig, check_resume, train_from
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -83,7 +83,7 @@ def cmd_train(args) -> int:
     train_config = build_config(TrainConfig, values)
     if loaded is not None:
         check_resume(loaded.state, train_config.max_steps, args.resume)
-        # train() runs the checkpoint's architecture: a model key set to anything else conflicts
+        # training runs the checkpoint's architecture: a model key set to anything else conflicts
         conflicts = [f"{mine} (checkpoint: {stored.partition('=')[2]})"
                      for mine, stored in zip(echo_lines(model_config), echo_lines(resumed))
                      if mine != stored]
@@ -100,8 +100,8 @@ def cmd_train(args) -> int:
         log.flush()
         sys.stdout.write(header)
         try:
-            result = train(model_config, train_config, manifest, args.out,
-                           resume=args.resume, log_stream=log)
+            result = train_from(model_config, train_config, manifest, args.out,
+                                loaded, log_stream=log)
         except NonFiniteLossError as e:
             print(f"ABORT: {e}", file=sys.stderr)
             return EXIT_ABORT

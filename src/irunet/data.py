@@ -37,19 +37,21 @@ class ManifestRow:
             raise ValueError(f"path not representable in manifest: {self.clean_path!r}")
 
 
+def _instance(root: str, row: ManifestRow) -> tuple[str, int, int]:
+    """The corrupted instance a row names: (clean file, sigma, seed), however spelt."""
+    return os.path.abspath(os.path.join(root, row.clean_path)), row.sigma, row.seed
+
+
 class DatasetManifest:
-    """Ordered rows with unique (clean_path, sigma, seed) triples."""
+    """Ordered rows naming unique (clean file, sigma, seed) instances."""
 
     def __init__(self, rows: list[ManifestRow], root: str = ""):
-        keys = {(r.clean_path, r.sigma, r.seed) for r in rows}
-        if len(keys) != len(rows):
+        if len({_instance(root, r) for r in rows}) != len(rows):
             raise ValueError("manifest rows are not unique over (clean_path, sigma, seed)")
         self.rows = list(rows)
         self.root = root  # directory non-absolute clean paths resolve against
 
     def resolve(self, row: ManifestRow) -> str:
-        if os.path.isabs(row.clean_path) or not self.root:
-            return row.clean_path
         return os.path.join(self.root, row.clean_path)
 
     def split_rows(self, split: str) -> list[ManifestRow]:
@@ -88,8 +90,9 @@ class DatasetManifest:
             raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
         if not lines or lines[0] != MANIFEST_HEADER:
             raise ValueError(f"{path}: missing manifest header {MANIFEST_HEADER!r}")
+        root = os.path.dirname(os.path.abspath(path))
         rows = []
-        first_line: dict[tuple, int] = {}  # (clean_path, sigma, seed) -> line
+        first_line: dict[tuple, int] = {}  # _instance(root, row) -> line
         for i, line in enumerate(lines[1:], start=2):
             if not line:
                 continue
@@ -101,13 +104,13 @@ class DatasetManifest:
                     clean_path=parts[0], sigma=int(parts[1]), seed=int(parts[2]), split=parts[3])
             except ValueError as e:
                 raise ValueError(f"{path}:{i}: {e}") from None
-            key = (row.clean_path, row.sigma, row.seed)
+            key = _instance(root, row)
             if key in first_line:
                 raise ValueError(f"{path}:{i}: duplicate row: clean_path, sigma and seed "
                                  f"repeat line {first_line[key]}")
             first_line[key] = i
             rows.append(row)
-        manifest = cls(rows, root=os.path.dirname(os.path.abspath(path)))
+        manifest = cls(rows, root=root)
         missing = [manifest.resolve(r) for r in manifest.rows
                    if not os.path.isfile(manifest.resolve(r))]
         if missing:

@@ -10,7 +10,6 @@ an uninterrupted run would have produced them.
 
 from __future__ import annotations
 
-import ctypes
 import os
 import sys
 import time
@@ -74,24 +73,6 @@ def _abort_saving_last_good(what: str, step: int, params: ParamStore, config: Mo
         checkpoint_path=path)
 
 
-def _keep_freed_heap() -> None:
-    """Keep the memory a step frees for the next step, instead of returning it.
-
-    Each step frees its graph during backward and then allocates the same
-    sizes again. glibc by default hands a freed heap top back to the OS, so
-    the next step page-faults its activations in afresh: ≈9000 faults, ≈10%
-    of a batch-8 64x64 step. mallopt turns that off (trimming only past
-    1 GiB free) and keeps arrays up to 32 MiB on the heap, the cap glibc's
-    own adaptive threshold would reach. Without mallopt this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-
-
 def check_resume(state: AdamState | None, max_steps: int, path) -> None:
     """Reject a checkpoint a run cannot continue from, before anything is written.
 
@@ -108,27 +89,33 @@ def check_resume(state: AdamState | None, max_steps: int, path) -> None:
 def train(model_config: ModelConfig, train_config: TrainConfig,
           manifest: DatasetManifest, out_dir,
           resume: str | None = None, log_stream=None) -> TrainResult:
+    """train_from() with the training checkpoint at path resume, if one is given."""
+    start = None
+    if resume is not None:
+        start = checkpoint.load_checkpoint(resume)
+        check_resume(start.state, train_config.max_steps, resume)
+    return train_from(model_config, train_config, manifest, out_dir, start, log_stream)
+
+
+def train_from(model_config: ModelConfig, train_config: TrainConfig,
+               manifest: DatasetManifest, out_dir,
+               start: checkpoint.LoadedCheckpoint | None, log_stream=None) -> TrainResult:
     """Run Adam on MAE over the train split; write logs and checkpoints.
 
-    Log lines are `step<TAB>loss<TAB>seconds`, flushed per step. Checkpoints
-    (with optimizer state) land in out_dir every checkpoint_every steps and
-    at the end. A non-finite loss or parameter aborts with the last good
-    parameters saved alongside a diagnostic.
+    A run continues from start, a training checkpoint that passed
+    check_resume, in its architecture; with start None it begins at step 0
+    from init_seed. Log lines are `step<TAB>loss<TAB>seconds`, flushed per
+    step. Checkpoints (with optimizer state) land in out_dir every
+    checkpoint_every steps and at the end. A non-finite loss or parameter
+    aborts with the last good parameters saved alongside a diagnostic.
     """
     train_config.validate()
-    _keep_freed_heap()
     rows = manifest.split_rows("train")
     if not rows:
         raise ValueError("manifest has no train rows")
 
-    start_step = 0
-    if resume is not None:
-        loaded = checkpoint.load_checkpoint(resume)
-        check_resume(loaded.state, train_config.max_steps, resume)
-        params = loaded.params
-        state = loaded.state
-        model_config = loaded.config
-        start_step = state.t
+    if start is not None:
+        params, state, model_config = start.params, start.state, start.config
     else:
         params = build_params(model_config, train_config.init_seed)
         state = AdamState.initial(params)
@@ -144,7 +131,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     def checkpoint_path(step: int) -> str:
         return os.path.join(out_dir, f"step{step:06d}.ckpt")
 
-    for step in range(start_step, train_config.max_steps):
+    for step in range(state.t, train_config.max_steps):
         t0 = time.perf_counter()
         epoch = step // batches_per_epoch
         if epoch != plan_epoch:

@@ -132,6 +132,28 @@ class TestTrain:
                           if ln and not ln.startswith("#")]
         assert resumed_losses == full_losses[3:]
 
+    def test_resume_loads_checkpoint_once(self, tmp_path, monkeypatch):
+        import irunet.checkpoint as checkpoint_mod
+        import irunet.cli as cli_mod
+
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        code, out = train_tiny(tmp_path, manifest_path, max_steps=2)
+        assert code == 0
+        loads = []
+        real_load = checkpoint_mod.load_checkpoint
+
+        def counting_load(path, *args, **kwargs):
+            loads.append(path)
+            return real_load(path, *args, **kwargs)
+
+        # the CLI binds the name at import; train.py looks it up on the module
+        monkeypatch.setattr(cli_mod, "load_checkpoint", counting_load)
+        monkeypatch.setattr(checkpoint_mod, "load_checkpoint", counting_load)
+        code, _ = train_tiny(tmp_path, manifest_path, max_steps=3,
+                             extra=["--resume", str(out / "step000002.ckpt")])
+        assert code == 0
+        assert loads == [str(out / "step000002.ckpt")]
+
     def test_resume_into_same_out_appends_and_echoes_checkpoint_config(self, tmp_path):
         _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
         code, out = train_tiny(tmp_path, manifest_path, max_steps=2)
@@ -370,7 +392,7 @@ class TestAbortExitCode:
         def exploding_train(*args, **kwargs):
             raise NonFiniteLossError("non-finite loss at step 0")
 
-        monkeypatch.setattr(cli_mod, "train", exploding_train)
+        monkeypatch.setattr(cli_mod, "train_from", exploding_train)
         code = run_cli(["train", "--manifest", str(manifest_path),
                         "--out", str(tmp_path / "boom")])
         assert code == 3

@@ -98,6 +98,18 @@ class TestManifestIO:
                                              f"duplicate row.* line 3$"):
             DatasetManifest.load(path)
 
+    @pytest.mark.parametrize("spelling", ["./c/x.png", "c/../c/x.png", "absolute"])
+    def test_rows_naming_one_file_twice_rejected(self, tmp_path, spelling):
+        spelt = str(tmp_path / "c" / "x.png") if spelling == "absolute" else spelling
+        rows = [ManifestRow("c/x.png", 25, 7, "train"), ManifestRow(spelt, 25, 7, "train")]
+        with pytest.raises(ValueError, match="unique"):
+            DatasetManifest(rows, root=str(tmp_path))
+        path = tmp_path / "m.csv"
+        path.write_text(f"clean_path,sigma,seed,split\nc/x.png,25,7,train\n{spelt},25,7,test\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: "
+                                             f"duplicate row.* line 2$"):
+            DatasetManifest.load(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("nope\n")
