@@ -176,25 +176,27 @@ def materialize_batch(manifest: DatasetManifest, batch_rows: list[ManifestRow],
     """Load, corrupt and normalize one batch.
 
     Returns (noisy [N,3,H,W] in [0,1], clean [N,3,H,W] in [0,1], sigma vector).
-    All images in the batch must share dimensions.
+    All images in the batch must share dimensions. A row's corruption is a
+    pure function of (clean image, sigma, seed), so `cache` keeps each row's
+    (clean, noisy) uint8 pair and corrupts it once.
     """
-    cleans = []
+    cleans, noisies = [], []
     for row in batch_rows:
-        path = manifest.resolve(row)
-        if cache is not None and path in cache:
-            img = cache[path]
+        key = _instance(manifest.root, row)
+        if cache is not None and key in cache:
+            clean, noisy = cache[key]
         else:
-            img = imageio.load_image(path)
+            clean = imageio.load_image(manifest.resolve(row))
+            noisy = corrupt(clean, NoiseSpec(sigma=float(row.sigma), seed=row.seed))
             if cache is not None:
-                cache[path] = img
-        cleans.append(img)
+                cache[key] = clean, noisy
+        cleans.append(clean)
+        noisies.append(noisy)
     shape = cleans[0].shape
     for row, img in zip(batch_rows, cleans):
         if img.shape != shape:
             raise ValueError(
                 f"mixed dimensions in one batch: {shape} vs {img.shape} ({row.clean_path})")
-    noisies = [corrupt(img, NoiseSpec(sigma=float(row.sigma), seed=row.seed))
-               for row, img in zip(batch_rows, cleans)]
     noisy_t = imageio.to_batch(noisies, dtype=dtype)
     clean_t = imageio.to_batch(cleans, dtype=dtype)
     sigmas = np.array([row.sigma for row in batch_rows], dtype=np.float64)

@@ -153,12 +153,11 @@ def _load_png(buf: bytes, path) -> np.ndarray:
 
 def _save_png(img: np.ndarray, path) -> None:
     height, width, _ = img.shape
-    stride = width * 3
-    body = bytearray()
-    flat = img.reshape(height, stride)
-    for y in range(height):
-        body.append(0)  # filter None
-        body.extend(flat[y].tobytes())
+    # each scanline: filter byte 0 (None), then the row's pixels as they are
+    rows = np.hstack((np.zeros((height, 1), np.uint8), img.reshape(height, 3 * width)))
+    # Run-length deflate: on denoised and noisy images an LZ77 match search
+    # takes about three times as long and saves under 1% of the bytes.
+    deflate = zlib.compressobj(6, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
     ihdr = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
 
     def chunk(ctype: bytes, data: bytes) -> bytes:
@@ -168,7 +167,7 @@ def _save_png(img: np.ndarray, path) -> None:
     with open(path, "wb") as f:
         f.write(PNG_SIGNATURE)
         f.write(chunk(b"IHDR", ihdr))
-        f.write(chunk(b"IDAT", zlib.compress(bytes(body), 6)))
+        f.write(chunk(b"IDAT", deflate.compress(rows) + deflate.flush()))
         f.write(chunk(b"IEND", b""))
 
 
@@ -238,6 +237,8 @@ def save_image(img: np.ndarray, path) -> None:
         raise ImageFormatError("save_image expects a uint8 array")
     if img.ndim != 3 or img.shape[2] != 3:
         raise ImageFormatError(f"save_image expects [H,W,3] RGB, got shape {img.shape}")
+    if img.shape[0] == 0 or img.shape[1] == 0:
+        raise ImageFormatError(f"save_image expects a non-empty image, got shape {img.shape}")
     name = str(path).lower()
     img = np.ascontiguousarray(img)
     if name.endswith(".png"):

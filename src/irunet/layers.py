@@ -456,6 +456,10 @@ def avg_pool2d(x: Tensor, window: tuple[int, int] = (2, 2),
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            gx = np.repeat(np.repeat(g * inv, wh, axis=2), ww, axis=3)
+            gi = g * inv
+            gx = np.empty(x.shape, dtype=gi.dtype)
+            for a in range(wh):
+                for b in range(ww):
+                    gx[:, :, a::wh, b::ww] = gi
             x.accumulate_grad(gx, owned=True)
     return Tensor._make(y, (x,), backward)

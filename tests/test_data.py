@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from irunet import data
 from irunet.data import (DatasetManifest, ManifestRow, batch_iter, build_manifest,
                          epoch_plan, materialize_batch)
 
@@ -205,3 +206,25 @@ class TestBatchIter:
         assert len(cache) == 8
         noisy, clean, sigmas = materialize_batch(manifest, manifest.rows[:2], cache=cache)
         assert noisy.shape == (2, 3, 32, 32)
+
+    def test_warm_cache_batch_matches_cold_without_corrupting(self, corpus8, monkeypatch):
+        clean_dir, _ = corpus8
+        manifest = build_manifest(clean_dir, [10, 25, 50], base_seed=3, split_ratio=1.0)
+        rows = manifest.rows[:5]
+        cold = materialize_batch(manifest, rows)
+        cache = {}
+        materialize_batch(manifest, rows, cache=cache)
+        calls = []
+        counted = data.corrupt
+
+        def counting_corrupt(*args, **kwargs):
+            calls.append(args)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(data, "corrupt", counting_corrupt)
+        warm = materialize_batch(manifest, rows, cache=cache)
+        assert calls == []
+        (cold_noisy, cold_clean, cold_sigmas), (noisy, clean, sigmas) = cold, warm
+        for c, w in [(cold_noisy.data, noisy.data), (cold_clean.data, clean.data),
+                     (cold_sigmas, sigmas)]:
+            assert c.dtype == w.dtype and np.array_equal(c, w)

@@ -46,6 +46,13 @@ class TestRoundTrips:
         save_image(img, path)
         assert np.array_equal(load_image(path), img)
 
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 17), (17, 1), (3, 5)])
+    def test_small_png_round_trip_bit_exact(self, tmp_path, h, w):
+        img = random_rgb(10 + 7 * h + w, h, w)
+        path = tmp_path / "s.png"
+        save_image(img, path)
+        assert np.array_equal(load_image(path), img)
+
     def test_save_rejects_bad_input(self, tmp_path):
         with pytest.raises(ImageFormatError):
             save_image(np.zeros((4, 4, 3), dtype=np.float32), tmp_path / "z.png")
@@ -53,6 +60,44 @@ class TestRoundTrips:
             save_image(np.zeros((4, 4), dtype=np.uint8), tmp_path / "z.png")
         with pytest.raises(ImageFormatError, match="extension"):
             save_image(np.zeros((4, 4, 3), dtype=np.uint8), tmp_path / "z.bmp")
+
+
+def png_chunk_list(buf: bytes) -> list[tuple[bytes, bytes]]:
+    """(type, data) of every chunk, in file order."""
+    chunks, pos = [], len(PNG_SIGNATURE)
+    while pos < len(buf):
+        (length,) = struct.unpack(">I", buf[pos:pos + 4])
+        chunks.append((buf[pos + 4:pos + 8], buf[pos + 8:pos + 8 + length]))
+        pos += 12 + length
+    return chunks
+
+
+class TestPngWriter:
+    def test_unfiltered_scanlines_in_one_idat(self, tmp_path):
+        img = random_rgb(12, 6, 9)
+        path = tmp_path / "w.png"
+        save_image(img, path)
+        chunks = png_chunk_list(path.read_bytes())
+        assert [c for c, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+        assert chunks[0][1] == struct.pack(">IIBBBBB", 9, 6, 8, 2, 0, 0, 0)
+        rows = np.frombuffer(zlib.decompress(chunks[1][1]), np.uint8).reshape(6, 1 + 9 * 3)
+        assert rows[:, 0].tolist() == [0] * 6  # filter None on every scanline
+        assert np.array_equal(rows[:, 1:].reshape(6, 9, 3), img)
+
+    def test_flat_image_is_compressed(self, tmp_path):
+        img = np.full((256, 256, 3), 77, dtype=np.uint8)
+        path = tmp_path / "flat.png"
+        save_image(img, path)
+        assert path.stat().st_size < 2048  # stored uncompressed it would be 196,864 bytes
+        assert np.array_equal(load_image(path), img)
+
+    @pytest.mark.parametrize("ext", ["png", "ppm"])
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3)])
+    def test_zero_size_rejected_before_file_is_created(self, tmp_path, ext, shape):
+        path = tmp_path / f"empty.{ext}"
+        with pytest.raises(ImageFormatError, match="non-empty"):
+            save_image(np.zeros(shape, dtype=np.uint8), path)
+        assert not path.exists()
 
 
 def encode_filtered(img, filters) -> bytes:
