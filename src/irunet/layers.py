@@ -13,6 +13,13 @@ the output gradient at that pitch, with zeros in the pitch columns, and
 read from (weight gradient) or add into (input gradient) the same windows.
 The taps sweep the map in cache-sized blocks.
 
+Stride-1 "same" convs with padding up to 2 (3x3 at dilation 1 and 2) share
+one map layout that depends only on their geometry (see _Plan). Inside
+sharing_maps(), which model.forward opens for each pass, consecutive convs
+that read one input array in one layout (an inception block's three
+branches, a reduction block's two) build its maps once in forward and once
+in backward; direct layer calls share nothing.
+
 Taps stay separate matmuls, summed in tap order, instead of one im2col GEMM
 over C*kh*kw. That keeps a dilated kernel bit-identical to the same kernel
 inflated with zero taps (the exact dilation oracle in the tests), and builds
@@ -39,8 +46,10 @@ becomes `.grad` without a copy.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -170,6 +179,12 @@ class _Plan:
     a tap form one contiguous window of `length` elements starting at the
     tap's offset; the `wq - out_w` columns at the end of each output row are
     pitch padding that is cropped (forward) or fed zeros (backward).
+
+    A stride-1 "same" conv whose padding fits in _MARGIN reads the shared
+    layout instead: rows at pitch w + _MARGIN, whose zero columns are also
+    the left padding of the next row, under _MARGIN + 1 zero rows (so no tap
+    offset is negative) and over _MARGIN. Plans with equal `layout` build
+    equal maps, which sibling convs can share (sharing_maps).
     """
 
     out_h: int
@@ -178,7 +193,6 @@ class _Plan:
     wq: int
     taps: tuple[tuple[int, int], ...]  # (phase map index, window offset) per tap
     cuts: tuple  # per phase map: (input slices, map slices) holding the same pixels
-    fills_maps: bool  # the input covers every phase map: no zero padding
     fills_input: bool  # every input pixel lies in some phase map
     is_view: bool  # one phase map that is the input itself
     reach: int  # the largest tap offset
@@ -187,6 +201,14 @@ class _Plan:
     @property
     def length(self) -> int:
         return (self.out_h - 1) * self.wq + self.out_w
+
+    @property
+    def layout(self) -> tuple:
+        return self.hq, self.wq, self.cuts
+
+
+# The zero margin of the shared stride-1 layout: enough for 3x3 at dilation 2.
+_MARGIN = 2
 
 
 def _plan(h: int, w: int, spec: ConvSpec) -> _Plan:
@@ -199,9 +221,16 @@ def _plan_for(h: int, w: int, kernel, stride, dilation, padding: str) -> _Plan:
     kh, kw = kernel
     sh, sw = stride
     dh, dw = dilation
-    out_h, out_w, (pt, _, pl, _) = _geometry(h, w, kernel, stride, dilation, padding)
-    hq = out_h + (kh - 1) * dh // sh
-    wq = out_w + (kw - 1) * dw // sw
+    out_h, out_w, pads = _geometry(h, w, kernel, stride, dilation, padding)
+    pt, _, pl, _ = pads
+    if (sh, sw) == (1, 1) and 0 < max(pads) <= _MARGIN:
+        # the shared layout: padded pixel (0, 0) sits at map row top, column left
+        hq, wq = h + 2 * _MARGIN + 1, w + _MARGIN
+        top, left = _MARGIN + 1 - pt, -pl
+    else:
+        hq = out_h + (kh - 1) * dh // sh
+        wq = out_w + (kw - 1) * dw // sw
+        top = left = 0
     phases: list[tuple[int, int]] = []
     taps = []
     for i in range(kh):
@@ -209,12 +238,12 @@ def _plan_for(h: int, w: int, kernel, stride, dilation, padding: str) -> _Plan:
             phase = (i * dh % sh, j * dw % sw)
             if phase not in phases:
                 phases.append(phase)
-            taps.append((phases.index(phase), i * dh // sh * wq + j * dw // sw))
+            taps.append((phases.index(phase), (top + i * dh // sh) * wq + left + j * dw // sw))
     cuts = []
     fills_maps, covered = True, 0
     for a, b in phases:
         r0, c0 = (a - pt) % sh, (b - pl) % sw  # first input row/column in the phase
-        q0, p0 = (r0 + pt) // sh, (c0 + pl) // sw
+        q0, p0 = top + (r0 + pt) // sh, left + (c0 + pl) // sw
         nr = min(len(range(r0, h, sh)), hq - q0)
         nc = min(len(range(c0, w, sw)), wq - p0)
         cuts.append(((slice(r0, r0 + nr * sh, sh), slice(c0, c0 + nc * sw, sw)),
@@ -225,7 +254,7 @@ def _plan_for(h: int, w: int, kernel, stride, dilation, padding: str) -> _Plan:
     reach = max(off for _, off in taps)
     disjoint = all(t == p and off == 0 for t, (p, off) in enumerate(taps))
     return _Plan(out_h, out_w, hq, wq, tuple(taps), tuple(cuts),
-                 fills_maps, covered == h * w, is_view, reach, disjoint)
+                 covered == h * w, is_view, reach, disjoint)
 
 
 def _to_phases(x: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -233,10 +262,12 @@ def _to_phases(x: np.ndarray, plan: _Plan) -> np.ndarray:
     n, c = x.shape[:2]
     if plan.is_view:
         return x.reshape(n, 1, c, plan.hq * plan.wq)
-    alloc = np.empty if plan.fills_maps else np.zeros
-    xq = alloc((n, len(plan.cuts), c, plan.hq, plan.wq), dtype=x.dtype)
-    for p, (xs, qs) in enumerate(plan.cuts):
-        xq[:, p, :, qs[0], qs[1]] = x[:, :, xs[0], xs[1]]
+    xq = np.empty((n, len(plan.cuts), c, plan.hq, plan.wq), dtype=x.dtype)
+    for p, (xs, (rows, cols)) in enumerate(plan.cuts):
+        q = xq[:, p]
+        q[..., :rows.start, :] = q[..., rows.stop:, :] = 0  # only the margins are zeroed
+        q[..., rows, :cols.start] = q[..., rows, cols.stop:] = 0
+        q[..., rows, cols] = x[:, :, xs[0], xs[1]]
     return xq.reshape(n, len(plan.cuts), c, plan.hq * plan.wq)
 
 
@@ -320,28 +351,26 @@ def _stacked_weights(weight: np.ndarray) -> np.ndarray:
 
 # ----------------------------------------------------- raw numpy kernels
 
-def _conv2d_raw(x: np.ndarray, weight: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Cross-correlation without bias. x [N,C,H,W], weight [O,C,kh,kw]."""
-    n = x.shape[0]
+def _conv2d_raw(xq: np.ndarray, weight: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Cross-correlation without bias, from the input's phase maps xq; weight [O,C,kh,kw]."""
+    n = xq.shape[0]
     out_c = weight.shape[0]
-    xq = _to_phases(x, plan)
     if plan.disjoint:
         y = np.matmul(_stacked_weights(weight), xq.reshape(n, -1, plan.hq * plan.wq))
         return y.reshape(n, out_c, plan.out_h, plan.out_w)
-    y = np.empty((n, out_c, plan.out_h * plan.wq), dtype=x.dtype)
+    y = np.empty((n, out_c, plan.out_h * plan.wq), dtype=xq.dtype)
     _tap_sum(y[..., :plan.length], [(wt, xq[:, p], off)
                                     for wt, (p, off) in zip(_tap_weights(weight), plan.taps)])
     return np.ascontiguousarray(y.reshape(n, out_c, plan.out_h, plan.wq)[..., :plan.out_w])
 
 
-def _conv2d_grad_w(x: np.ndarray, gp: np.ndarray, plan: _Plan, kernel) -> np.ndarray:
-    """Gradient of the conv output w.r.t. weight, from the pitched output gradient gp."""
-    c = x.shape[1]
+def _conv2d_grad_w(xq: np.ndarray, gp: np.ndarray, plan: _Plan, kernel) -> np.ndarray:
+    """Gradient of the conv output w.r.t. weight, from phase maps xq and pitched gradient gp."""
+    c = xq.shape[2]
     out_c = gp.shape[1]
     kh, kw = kernel
-    xq = _to_phases(x, plan)
     gp = gp[..., plan.reach:plan.reach + plan.length]
-    gw = np.empty((kh * kw, out_c, c), dtype=x.dtype)
+    gw = np.empty((kh * kw, out_c, c), dtype=xq.dtype)
     for t, (p, off) in enumerate(plan.taps):
         window = xq[:, p, :, off:off + plan.length]
         np.matmul(gp, window.transpose(0, 2, 1)).sum(axis=0, out=gw[t])
@@ -353,16 +382,22 @@ def _conv2d_grad_x(gp: np.ndarray, weight: np.ndarray, x_shape, plan: _Plan) -> 
 
     Each phase-map pixel gathers, tap by tap, the gradient of the output
     pixel that read it: the forward tap sum run backwards over the windows.
+    Only the map rows that hold input pixels are summed, not the margins.
     """
     n, c = x_shape[:2]
     if plan.disjoint:
         return _from_phases(np.matmul(_stacked_weights(weight).T, gp), plan, x_shape)
-    gq = np.empty((n, len(plan.cuts), c, plan.hq * plan.wq), dtype=gp.dtype)
+    gx = (np.empty if plan.fills_input else np.zeros)(x_shape, dtype=gp.dtype)
     weights = _tap_weights(weight)
-    for p in range(len(plan.cuts)):
-        _tap_sum(gq[:, p], [(wt.T, gp, plan.reach - off)
-                            for wt, (tp, off) in zip(weights, plan.taps) if tp == p])
-    return _from_phases(gq, plan, x_shape)
+    for p, (xs, (rows, cols)) in enumerate(plan.cuts):
+        if rows.stop <= rows.start:
+            continue  # a phase of a tiny map can hold no input row
+        gq = np.empty((n, c, (rows.stop - rows.start) * plan.wq), dtype=gp.dtype)
+        start = plan.reach + rows.start * plan.wq
+        _tap_sum(gq, [(wt.T, gp, start - off)
+                      for wt, (tp, off) in zip(weights, plan.taps) if tp == p])
+        gx[:, :, xs[0], xs[1]] = gq.reshape(n, c, -1, plan.wq)[..., cols]
+    return gx
 
 
 # ------------------------------------------------------------ tensor ops
@@ -381,14 +416,59 @@ def _check_layer_input(x: Tensor, spec: ConvSpec, params: LayerParams) -> None:
         raise ValueError("input and parameter dtypes must match")
 
 
+@dataclass
+class _Maps:
+    """The phase maps of one input array in one layout, built at the first read.
+
+    The convs that share them hold one instance, so maps rebuilt in backward
+    go with the last holder's closure.
+    """
+
+    x: np.ndarray | None
+    plan: _Plan | None
+    xq: np.ndarray | None = None
+
+    def get(self) -> np.ndarray:
+        if self.xq is None:
+            self.xq = _to_phases(self.x, self.plan)
+        return self.xq
+
+
+_slot: list[_Maps] | None = None  # inside sharing_maps(): [the last conv's maps]
+
+
+@contextmanager
+def sharing_maps() -> Iterator[None]:
+    """Consecutive convs in the block that read one input array in one layout share its maps.
+
+    model.forward runs each pass in one. Maps that another array or layout
+    replaces, or that are left when the block ends, drop their forward copy;
+    backward rebuilds them once, at their first reader.
+    """
+    global _slot
+    prev, _slot = _slot, [_Maps(None, None)]
+    try:
+        yield
+    finally:
+        _slot[0].xq = None
+        _slot = prev
+
+
 def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     """Strided/dilated 2-D convolution with per-channel bias, and relu if the spec says so."""
+    if _slot is None:
+        with sharing_maps():  # outside a pass, each call shares nothing
+            return conv2d(x, spec, params)
     if spec.transposed:
         raise ValueError("conv2d called with a transposed spec")
     _check_layer_input(x, spec, params)
     weight, bias = params.weight, params.bias
     plan = _plan(x.shape[2], x.shape[3], spec)
-    y = _conv2d_raw(x.data, weight.data, plan)
+    maps = _slot[0]
+    if maps.x is not x.data or maps.plan.layout != plan.layout:
+        maps.xq = None
+        maps = _slot[0] = _Maps(x.data, plan)
+    y = _conv2d_raw(maps.get(), weight.data, plan)
     y += bias.data[None, :, None, None]
     if spec.relu:
         report_relu_input(y)
@@ -402,7 +482,7 @@ def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(_conv2d_grad_x(gp, weight.data, x.shape, plan), owned=True)
         if weight.requires_grad:
-            weight.accumulate_grad(_conv2d_grad_w(x.data, gp, plan, spec.kernel), owned=True)
+            weight.accumulate_grad(_conv2d_grad_w(maps.get(), gp, plan, spec.kernel), owned=True)
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)), owned=True)
     return Tensor._make(y, (x, weight, bias), backward)
@@ -423,10 +503,11 @@ def transposed_conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     y += bias.data[None, :, None, None]
 
     def backward(g: np.ndarray) -> None:
+        gq = _to_phases(g, plan)
         if x.requires_grad:
-            x.accumulate_grad(_conv2d_raw(g, weight.data, plan), owned=True)
+            x.accumulate_grad(_conv2d_raw(gq, weight.data, plan), owned=True)
         if weight.requires_grad:
-            gw = _conv2d_grad_w(g, _pitched(x.data, plan), plan, spec.kernel)
+            gw = _conv2d_grad_w(gq, _pitched(x.data, plan), plan, spec.kernel)
             weight.accumulate_grad(gw, owned=True)
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)), owned=True)

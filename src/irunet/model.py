@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import rng
+from . import layers, rng
 from .layers import ConvSpec, LayerParams, avg_pool2d, conv2d, init_params, transposed_conv2d
 from .tensor import Tensor, concat_channels
 
@@ -220,22 +220,23 @@ def forward(x: Tensor, config: ModelConfig, params: ParamStore,
         raise ValueError(
             f"spatial extents {x.shape[2]}x{x.shape[3]} must be divisible by {DOWNSCALE_FACTOR}")
 
-    cur = _apply(x, params["head"])
-    skips = [cur]
-    for i in range(1, 5):
-        cur = inception_reduction_block(cur, params, f"enc{i}.red")
-        cur = inception_block(cur, params, f"enc{i}.inc")
-        if i < 4:
-            skips.append(cur)
-    latent = cur
+    with layers.sharing_maps():  # sibling convs build their input's maps once
+        cur = _apply(x, params["head"])
+        skips = [cur]
+        for i in range(1, 5):
+            cur = inception_reduction_block(cur, params, f"enc{i}.red")
+            cur = inception_block(cur, params, f"enc{i}.inc")
+            if i < 4:
+                skips.append(cur)
+        latent = cur
 
-    for i in range(1, 5):
-        cur = _apply(cur, params[f"dec{i}.up"])
-        cur = concat_channels([cur, skips.pop()])
-        cur = _apply(cur, params[f"dec{i}.merge"])
-        cur = inception_block(cur, params, f"dec{i}.inc")
+        for i in range(1, 5):
+            cur = _apply(cur, params[f"dec{i}.up"])
+            cur = concat_channels([cur, skips.pop()])
+            cur = _apply(cur, params[f"dec{i}.merge"])
+            cur = inception_block(cur, params, f"dec{i}.inc")
 
-    z = _apply(cur, params["tail"]).sigmoid()
+        z = _apply(cur, params["tail"]).sigmoid()
     if return_latent:
         return z, latent
     return z

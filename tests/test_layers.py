@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,91 @@ class TestDirectSummationOracle:
         _, _, expected = direct_conv(np.zeros((2, cout, h * s, w * s)), lp.weight.data,
                                      tspec.stride, tspec.dilation, "same", x.data)
         assert np.abs(out.data - expected).max() <= 1e-12
+
+
+class TestWideAndTinyOracle:
+    """Geometries past the shared stride-1 margin of 2, and maps smaller than the margin."""
+
+    # stride-1 pads wider than the margin: 3x3 at dilation 3, 5x5 at dilation 2
+    WIDE = [(3, 1, 3, (5, 6)), (5, 1, 2, (6, 5)), (5, 1, 1, (5, 7))]
+    # 1x1, 1x3 and 2x1 maps under kernels whose padding exceeds them
+    TINY = [(k, s, d, size) for k, s, d in ((3, 1, 1), (3, 1, 2), (3, 1, 3), (2, 1, 2),
+                                             (3, 2, 1), (3, 2, 2))
+            for size in ((1, 1), (1, 3), (2, 1))]
+
+    @pytest.fixture(autouse=True, params=["whole", "split"])
+    def block(self, request, monkeypatch):
+        if request.param == "split":
+            monkeypatch.setattr(layers, "_BLOCK", 5)
+
+    @pytest.mark.parametrize("k,s,d,size", WIDE + TINY)
+    def test_conv2d_forward_and_gradients(self, k, s, d, size):
+        seed = rng.hash64("oracle-edge", k, s, d, *size)
+        spec = ConvSpec(2, 3, kernel=k, stride=s, dilation=d)
+        lp = init_params(spec, rng.hash64(seed, "w"), dtype=np.float64)
+        x = rand64(rng.hash64(seed, "x"), (2, 2) + size)
+        out = conv2d(x, spec, lp)
+        proj = rand64(rng.hash64(seed, "p"), out.shape, requires_grad=False)
+        (out * proj).sum().backward()
+        y, gw, gx = direct_conv(x.data, lp.weight.data, spec.stride, spec.dilation, "same",
+                                proj.data)
+        assert out.shape == y.shape
+        assert np.abs(out.data - y).max() <= 1e-12
+        assert np.abs(lp.weight.grad - gw).max() <= 1e-12
+        assert np.abs(x.grad - gx).max() <= 1e-12
+
+
+class TestSharedMaps:
+    @staticmethod
+    def branches(seed):
+        # the three branch geometries of an inception block: one shared layout
+        return [init_params(ConvSpec(3, 2, kernel=3, dilation=d), rng.hash64(seed, i),
+                            name=f"b{i}", dtype=np.float64)
+                for i, d in enumerate((1, 1, 2))]
+
+    @staticmethod
+    def run(x_data, lps, scope):
+        # the forward inside `scope`, the backward after it, as model.forward runs them
+        x = Tensor(x_data.copy(), requires_grad=True)
+        with scope():
+            outs = [conv2d(x, lp.spec, lp) for lp in lps]
+        concat_channels(outs).sum().backward()
+        return [o.data for o in outs] + [x.grad] + [lp.weight.grad for lp in lps]
+
+    def test_siblings_build_once_per_pass_with_equal_results(self, monkeypatch):
+        x_data = rand64(31, (2, 3, 7, 5)).data
+        alone = self.run(x_data, self.branches(1), contextlib.nullcontext)
+        builds = []
+        to_phases = layers._to_phases
+
+        def counting(x, plan):
+            builds.append(x)
+            return to_phases(x, plan)
+        monkeypatch.setattr(layers, "_to_phases", counting)
+        shared = self.run(x_data, self.branches(1), layers.sharing_maps)
+        assert len(builds) == 2  # once in forward, once in backward
+        for a, b in zip(alone, shared):
+            assert np.array_equal(a, b)
+
+    def test_another_array_of_the_same_layout_builds_its_own(self):
+        lp = self.branches(3)[0]
+        a, b = rand64(34, (1, 3, 6, 6)), rand64(35, (1, 3, 6, 6))
+        with no_grad():
+            with layers.sharing_maps():
+                conv2d(a, lp.spec, lp)
+                shared = conv2d(b, lp.spec, lp)
+            alone = conv2d(b, lp.spec, lp)
+        assert np.array_equal(shared.data, alone.data)
+
+    def test_direct_calls_see_in_place_input_changes(self):
+        lp = self.branches(2)[2]
+        x = rand64(32, (1, 3, 6, 6))
+        conv2d(x, lp.spec, lp)
+        x.data[...] = rand64(33, x.shape).data
+        with no_grad():
+            again = conv2d(x, lp.spec, lp)
+            fresh = conv2d(Tensor(x.data.copy()), lp.spec, lp)
+        assert np.array_equal(again.data, fresh.data)
 
 
 # the relu geometries the model uses: 3x3, 3x3 dilation 2, 3x3 stride 2, 1x1

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from irunet import metrics, model, rng
+from irunet import layers, metrics, model, rng
 from irunet.layers import conv2d
 from irunet.model import (ModelConfig, build_params, forward, inception_block,
                           inception_reduction_block, layer_specs, param_count)
@@ -257,6 +257,68 @@ class TestFusedLayers:
         names = [name for name, _ in layer_specs(SMALL)]
         assert fwd_calls == names
         assert sorted(bwd_calls) == sorted(names)
+
+
+def compose(x, config, params):
+    """model.forward's network built from the block functions, outside its map-sharing scope."""
+    cur = model._apply(x, params["head"])
+    skips = [cur]
+    for i in range(1, 5):
+        cur = inception_reduction_block(cur, params, f"enc{i}.red")
+        cur = inception_block(cur, params, f"enc{i}.inc")
+        if i < 4:
+            skips.append(cur)
+    for i in range(1, 5):
+        cur = model._apply(cur, params[f"dec{i}.up"])
+        cur = concat_channels([cur, skips.pop()])
+        cur = model._apply(cur, params[f"dec{i}.merge"])
+        cur = inception_block(cur, params, f"dec{i}.inc")
+    return model._apply(cur, params["tail"]).sigmoid()
+
+
+class TestSharedMaps:
+    def test_one_map_per_block_input_per_pass(self, monkeypatch):
+        builds = []
+        to_phases = layers._to_phases
+
+        def counting(x, plan):
+            builds.append((x, plan))  # holding x keeps every id distinct
+            return to_phases(x, plan)
+        monkeypatch.setattr(layers, "_to_phases", counting)
+        params = build_params(SMALL, 12)
+        x = Tensor(rng.uniform(23, 2 * 3 * 32 * 32).reshape(2, 3, 32, 32).astype(np.float32),
+                   requires_grad=True)
+        z = forward(x, SMALL, params)
+        forward_builds = list(builds)
+        builds.clear()
+        z.mean().backward()
+        for calls in (forward_builds, builds):
+            # the 3x3 convs read the maps of head, tail and each inception or reduction input
+            maps = [(id(a), plan.hq, plan.wq) for a, plan in calls if not plan.disjoint]
+            assert len(maps) == len(set(maps)) == 1 + 4 + 8 + 1
+
+    def test_input_changed_in_place_between_forwards(self):
+        params = build_params(SMALL, 13)
+        x = Tensor(rng.uniform(24, 3 * 32 * 32).reshape(1, 3, 32, 32).astype(np.float32))
+        with no_grad():
+            forward(x, SMALL, params)
+            x.data[...] = rng.uniform(25, x.size).reshape(x.shape)
+            again = forward(x, SMALL, params)
+            fresh = forward(Tensor(x.data.copy()), SMALL, params)
+        assert np.array_equal(again.data, fresh.data)
+
+    def test_forward_equals_the_unshared_composition(self):
+        x_data = rng.uniform(26, 2 * 3 * 32 * 32).reshape(2, 3, 32, 32).astype(np.float32)
+        results = []
+        for build in (lambda x, params: forward(x, SMALL, params), lambda x, params:
+                      compose(x, SMALL, params)):
+            params = build_params(SMALL, 14)
+            x = Tensor(x_data.copy(), requires_grad=True)
+            z = build(x, params)
+            z.mean().backward()
+            results.append([z.data, x.grad] + [t.grad for t in params.named_tensors().values()])
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
 
 
 class TestParamCount:
