@@ -18,16 +18,29 @@ one map layout that depends only on their geometry (see _Plan). Inside
 sharing_maps(), which model.forward opens for each pass, consecutive convs
 that read one input array in one layout (an inception block's three
 branches, a reduction block's two) build its maps once in forward and once
-in backward; direct layer calls share nothing.
+in backward, and the block releases the forward copy after its last sibling
+(release_maps); direct layer calls share nothing.
 
 Taps stay separate matmuls, summed in tap order, instead of one im2col GEMM
 over C*kh*kw. That keeps a dilated kernel bit-identical to the same kernel
 inflated with zero taps (the exact dilation oracle in the tests), and builds
-no buffer kh*kw times the size of the input. Only where no two taps share an
-input pixel (1x1 kernels, 2x2 stride-2 kernels) does each tap read a whole
-phase map, and the conv is one GEMM over the stacked maps: a plain matmul
-at 1x1 stride 1, subsample-then-GEMM at 1x1 stride 2, and GEMM plus pixel
-shuffle at 2x2 stride 2.
+no buffer kh*kw times the size of the input. Two kinds of conv run as one
+GEMM instead:
+- Where no two taps share an input pixel (1x1 kernels, 2x2 stride-2
+  kernels), each tap reads a whole phase map, and the conv is one GEMM over
+  the stacked maps: a plain matmul at 1x1 stride 1, subsample-then-GEMM at
+  1x1 stride 2, and GEMM plus pixel shuffle at 2x2 stride 2.
+- A stride-1, dilation-1 conv with a kernel of at most 3x3 on at most 4
+  input channels (the model's `head`, 3 -> 16) is too thin for per-tap
+  matmuls with K = C. Its forward pass and weight gradient copy the tap
+  windows of each block into one stack of kh*kw*C rows (the unfolding of
+  Chellapilla et al., 2006, one block at a time) and run one GEMM with
+  K = kh*kw*C per block; its input gradient stays per tap. The stack is
+  never larger than one block. Its sums run in BLAS order, not tap order,
+  so they match the per-tap sums within rounding only. Dilated kernels never
+  stack, so the dilation oracle holds, with one exception: a stacked 3x3
+  matches the zero-inflation of a 2x2 kernel at dilation 2 only within
+  rounding.
 
 The transposed convolution is defined as the linear adjoint of the
 same-spec convolution: its forward pass is the convolution's input
@@ -37,11 +50,11 @@ A spec with `relu=True` fuses the activation into conv2d: one graph node
 returns max(conv + bias, 0), bit-identical to conv2d followed by
 Tensor.relu, and its backward masks the output gradient by output > 0.
 The pre-activation goes to the relu observer first and is not kept.
-Plans are memoized per input size and geometry, and one backward builds
-the pitched output gradient once for both the input and weight gradients.
-The gradients the backward passes allocate (input, weight, bias) are fresh
-arrays, so they go to `Tensor.accumulate_grad` as owned and the first one
-becomes `.grad` without a copy.
+Plans are memoized per input size, channel count and geometry, and one
+backward builds the pitched output gradient once for both the input and
+weight gradients. The gradients the backward passes allocate (input,
+weight, bias) are fresh arrays, so they go to `Tensor.accumulate_grad` as
+owned and the first one becomes `.grad` without a copy.
 """
 
 from __future__ import annotations
@@ -185,6 +198,14 @@ class _Plan:
     the left padding of the next row, under _MARGIN + 1 zero rows (so no tap
     offset is negative) and over _MARGIN. Plans with equal `layout` build
     equal maps, which sibling convs can share (sharing_maps).
+
+    A `stacked` plan (stride 1, dilation 1, kernel at most 3x3, at most
+    _STACK_CHANNELS input channels, taps that overlap) runs its forward pass
+    and weight gradient as one GEMM over the stacked tap windows of each
+    block (_stacks); other plans whose taps overlap sum them one matmul at a
+    time.
+    `lead` and `span` place the pitched output gradient (_pitched): it holds
+    just the windows the two gradients read.
     """
 
     out_h: int
@@ -195,8 +216,10 @@ class _Plan:
     cuts: tuple  # per phase map: (input slices, map slices) holding the same pixels
     fills_input: bool  # every input pixel lies in some phase map
     is_view: bool  # one phase map that is the input itself
-    reach: int  # the largest tap offset
+    lead: int  # where output pixel 0 sits in the pitched output gradient
+    span: int  # the pitched output gradient's length per channel
     disjoint: bool  # tap t reads all of phase map t: no two taps share an input pixel
+    stacked: bool  # the tap windows stack into one K = kh*kw*C GEMM per block
 
     @property
     def length(self) -> int:
@@ -211,13 +234,18 @@ class _Plan:
 _MARGIN = 2
 
 
+# The most input channels whose tap windows stack: K = kh*kw*C <= 36.
+_STACK_CHANNELS = 4
+
+
 def _plan(h: int, w: int, spec: ConvSpec) -> _Plan:
     """The phase maps and tap windows of `spec` on an h x w input."""
-    return _plan_for(h, w, spec.kernel, spec.stride, spec.dilation, spec.padding)
+    return _plan_for(h, w, spec.in_channels, spec.kernel, spec.stride, spec.dilation,
+                     spec.padding)
 
 
 @lru_cache(maxsize=1024)
-def _plan_for(h: int, w: int, kernel, stride, dilation, padding: str) -> _Plan:
+def _plan_for(h: int, w: int, channels: int, kernel, stride, dilation, padding: str) -> _Plan:
     kh, kw = kernel
     sh, sw = stride
     dh, dw = dilation
@@ -251,10 +279,23 @@ def _plan_for(h: int, w: int, kernel, stride, dilation, padding: str) -> _Plan:
         fills_maps = fills_maps and (q0, p0, nr, nc) == (0, 0, hq, wq)
         covered += nr * nc
     is_view = (sh, sw) == (1, 1) and fills_maps and covered == h * w
-    reach = max(off for _, off in taps)
     disjoint = all(t == p and off == 0 for t, (p, off) in enumerate(taps))
-    return _Plan(out_h, out_w, hq, wq, tuple(taps), tuple(cuts),
-                 covered == h * w, is_view, reach, disjoint)
+    # The pitched output gradient spans the output rows, which hold the weight
+    # gradient's window, and every window the input gradient reads: a whole
+    # phase map (disjoint), or per tap its phase map's input rows shifted back
+    # by the tap's offset.
+    lo, hi = 0, out_h * wq
+    if disjoint:
+        hi = hq * wq
+    else:
+        for p, off in taps:
+            rows = cuts[p][1][0]
+            if rows.start < rows.stop:
+                lo, hi = min(lo, rows.start * wq - off), max(hi, rows.stop * wq - off)
+    stacked = ((sh, sw) == (dh, dw) == (1, 1) and kh <= 3 and kw <= 3
+               and channels <= _STACK_CHANNELS and not disjoint)
+    return _Plan(out_h, out_w, hq, wq, tuple(taps), tuple(cuts), covered == h * w, is_view,
+                 -lo, hi - lo, disjoint, stacked)
 
 
 def _to_phases(x: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -286,16 +327,15 @@ def _from_phases(gq: np.ndarray, plan: _Plan, x_shape) -> np.ndarray:
 def _pitched(g: np.ndarray, plan: _Plan) -> np.ndarray:
     """Output gradient at row pitch wq, zeros in the pitch columns and around.
 
-    Output pixel k (counted at pitch wq) sits at `plan.reach + k` of an
-    [N, O, reach + hq*wq] buffer, so every tap's window, shifted back by its
-    offset, stays inside it.
+    Output pixel k (counted at pitch wq) sits at `plan.lead + k` of an
+    [N, O, span] buffer, so every window the gradients read, each tap's
+    shifted back by its offset, stays inside it.
     """
     n, o = g.shape[:2]
-    size = plan.reach + plan.hq * plan.wq
-    if plan.reach == 0 and (plan.hq, plan.wq) == (plan.out_h, plan.out_w):
-        return g.reshape(n, o, size)
-    gp = np.zeros((n, o, size), dtype=g.dtype)
-    rows = gp[..., plan.reach:plan.reach + plan.out_h * plan.wq]
+    if (plan.lead, plan.wq, plan.span) == (0, plan.out_w, plan.out_h * plan.out_w):
+        return g.reshape(n, o, plan.span)
+    gp = np.zeros((n, o, plan.span), dtype=g.dtype)
+    rows = gp[..., plan.lead:plan.lead + plan.out_h * plan.wq]
     rows.reshape(n, o, plan.out_h, plan.wq)[..., :plan.out_w] = g
     return gp
 
@@ -337,6 +377,28 @@ def _tap_sum(out: np.ndarray, taps) -> None:
                 acc += part
 
 
+def _stacks(xq: np.ndarray, plan: _Plan, rows: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """(images, positions, stack) per block of a stride-1 plan, in _blocks order.
+
+    stack[:, t*C + c, k] = xq[images, 0, c, offset of tap t + k]: the taps'
+    windows on top of each other, so one matmul with the stacked weights
+    (_stacked_weights) sums all taps. `rows` sizes the blocks: the stack's
+    kh*kw*C rows plus the O rows of output or gradient it meets, which then
+    share the cache. The stack reuses one buffer of at most _BLOCK elements.
+    """
+    n, _, c, _ = xq.shape
+    k = len(plan.taps) * c
+    buf = None
+    for bn, bk in _blocks(n, rows, plan.length):
+        nb, width = bn.stop - bn.start, bk.stop - bk.start
+        if buf is None:
+            buf = np.empty(nb * k * width, dtype=xq.dtype)
+        stack = buf[:nb * k * width].reshape(nb, k, width)
+        for t, (_, off) in enumerate(plan.taps):
+            stack[:, t * c:(t + 1) * c] = xq[bn, 0, :, off + bk.start:off + bk.stop]
+        yield bn, bk, stack
+
+
 def _tap_weights(weight: np.ndarray) -> np.ndarray:
     """[O, C, kh, kw] -> [kh*kw, O, C]: one contiguous matrix per tap."""
     o, c, kh, kw = weight.shape
@@ -359,8 +421,13 @@ def _conv2d_raw(xq: np.ndarray, weight: np.ndarray, plan: _Plan) -> np.ndarray:
         y = np.matmul(_stacked_weights(weight), xq.reshape(n, -1, plan.hq * plan.wq))
         return y.reshape(n, out_c, plan.out_h, plan.out_w)
     y = np.empty((n, out_c, plan.out_h * plan.wq), dtype=xq.dtype)
-    _tap_sum(y[..., :plan.length], [(wt, xq[:, p], off)
-                                    for wt, (p, off) in zip(_tap_weights(weight), plan.taps)])
+    if plan.stacked:
+        wst = _stacked_weights(weight)
+        for bn, bk, stack in _stacks(xq, plan, sum(wst.shape)):
+            np.matmul(wst, stack, out=y[bn, :, bk])
+    else:
+        _tap_sum(y[..., :plan.length], [(wt, xq[:, p], off) for wt, (p, off)
+                                        in zip(_tap_weights(weight), plan.taps)])
     return np.ascontiguousarray(y.reshape(n, out_c, plan.out_h, plan.wq)[..., :plan.out_w])
 
 
@@ -369,7 +436,12 @@ def _conv2d_grad_w(xq: np.ndarray, gp: np.ndarray, plan: _Plan, kernel) -> np.nd
     c = xq.shape[2]
     out_c = gp.shape[1]
     kh, kw = kernel
-    gp = gp[..., plan.reach:plan.reach + plan.length]
+    gp = gp[..., plan.lead:plan.lead + plan.length]
+    if plan.stacked:
+        gw = np.zeros((out_c, kh * kw * c), dtype=xq.dtype)
+        for bn, bk, stack in _stacks(xq, plan, sum(gw.shape)):
+            gw += np.matmul(gp[bn, :, bk], stack.transpose(0, 2, 1)).sum(axis=0)
+        return np.ascontiguousarray(gw.reshape(out_c, kh, kw, c).transpose(0, 3, 1, 2))
     gw = np.empty((kh * kw, out_c, c), dtype=xq.dtype)
     for t, (p, off) in enumerate(plan.taps):
         window = xq[:, p, :, off:off + plan.length]
@@ -393,7 +465,7 @@ def _conv2d_grad_x(gp: np.ndarray, weight: np.ndarray, x_shape, plan: _Plan) -> 
         if rows.stop <= rows.start:
             continue  # a phase of a tiny map can hold no input row
         gq = np.empty((n, c, (rows.stop - rows.start) * plan.wq), dtype=gp.dtype)
-        start = plan.reach + rows.start * plan.wq
+        start = plan.lead + rows.start * plan.wq
         _tap_sum(gq, [(wt.T, gp, start - off)
                       for wt, (tp, off) in zip(weights, plan.taps) if tp == p])
         gx[:, :, xs[0], xs[1]] = gq.reshape(n, c, -1, plan.wq)[..., cols]
@@ -442,16 +514,28 @@ def sharing_maps() -> Iterator[None]:
     """Consecutive convs in the block that read one input array in one layout share its maps.
 
     model.forward runs each pass in one. Maps that another array or layout
-    replaces, or that are left when the block ends, drop their forward copy;
-    backward rebuilds them once, at their first reader.
+    replaces, that release_maps() releases, or that are left when the block
+    ends, drop their forward copy; backward rebuilds them once, at their first
+    reader.
     """
     global _slot
     prev, _slot = _slot, [_Maps(None, None)]
     try:
         yield
     finally:
-        _slot[0].xq = None
+        release_maps()
         _slot = prev
+
+
+def release_maps() -> None:
+    """The last sibling has read the shared maps: drop their forward copy now.
+
+    A block calls this after its last conv on its input, so the copy is freed
+    before the block allocates its concat; backward rebuilds the maps once,
+    at their first reader. Outside sharing_maps() there is nothing to drop.
+    """
+    if _slot is not None:
+        _slot[0].xq = None
 
 
 def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
@@ -498,7 +582,8 @@ def transposed_conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     sh, sw = spec.stride
     out_shape = (n, spec.out_channels, h * sh, w * sw)
     # the plan of the same-padded convolution this layer is the adjoint of
-    plan = _plan_for(h * sh, w * sw, spec.kernel, spec.stride, spec.dilation, "same")
+    plan = _plan_for(h * sh, w * sw, spec.out_channels, spec.kernel, spec.stride,
+                     spec.dilation, "same")
     y = _conv2d_grad_x(_pitched(x.data, plan), weight.data, out_shape, plan)
     y += bias.data[None, :, None, None]
 

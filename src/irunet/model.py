@@ -161,6 +161,7 @@ def inception_block(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
     b1 = _apply(x, params[f"{prefix}.b1"])
     b2 = _apply(x, params[f"{prefix}.b2"])
     b3 = _apply(x, params[f"{prefix}.b3"])
+    layers.release_maps()  # the last sibling: free x's shared map before the concat
     merged = concat_channels([b1, b2, b3])
     main = _apply(merged, params[f"{prefix}.reduce"])
     return main + x
@@ -176,6 +177,7 @@ def inception_reduction_block(x: Tensor, params: ParamStore, prefix: str) -> Ten
         raise ValueError(f"reduction block needs even spatial extents, got {x.shape}")
     b1 = _apply(x, params[f"{prefix}.b1"])
     b2 = _apply(x, params[f"{prefix}.b2"])
+    layers.release_maps()  # the last sibling: free x's shared maps before pooling
     pooled = avg_pool2d(x)
     merged = concat_channels([b1, b2, pooled])
     main = _apply(merged, params[f"{prefix}.reduce"])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -28,9 +27,8 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 def raw_uint64(seed: int, start: int, count: int) -> np.ndarray:
     """`count` words of the SplitMix64 stream for `seed`, offsets start..start+count-1."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        state = (np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN) & _MASK64
-        return _mix64(state)
+    with np.errstate(over="ignore"):  # uint64 arithmetic wraps mod 2^64
+        return _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN)
 
 
 def uniform(seed: int, count: int, start: int = 0) -> np.ndarray:

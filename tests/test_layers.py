@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -246,6 +247,164 @@ class TestWideAndTinyOracle:
         assert np.abs(out.data - y).max() <= 1e-12
         assert np.abs(lp.weight.grad - gw).max() <= 1e-12
         assert np.abs(x.grad - gx).max() <= 1e-12
+
+
+def oracle_gap(got, expected):
+    """Largest difference relative to the expected values' magnitude (at least 1)."""
+    return np.abs(got - expected).max() / max(1.0, np.abs(expected).max())
+
+
+class TestStackedTaps:
+    """Stride-1, dilation-1 kernels up to 3x3 on at most 4 channels: one GEMM over the taps."""
+
+    SIZES = ((1, 1), (2, 2), (5, 5), (4, 7), (6, 3))
+    KERNELS = ((3, 3), (2, 2), (1, 3), (3, 2), (2, 1))
+
+    @pytest.fixture(autouse=True, params=["whole", "split"])
+    def block(self, request, monkeypatch):
+        if request.param == "split":
+            monkeypatch.setattr(layers, "_BLOCK", 50)
+
+    @staticmethod
+    def check(spec, x_shape, dtype, seed):
+        """conv2d against direct_conv: output, weight and input gradients; returns the plan."""
+        lp = init_params(spec, rng.hash64(seed, "w"), dtype=dtype)
+        lp.bias.data[...] = rng.uniform(rng.hash64(seed, "b"), spec.out_channels) - 0.5
+        x = Tensor((rng.uniform(rng.hash64(seed, "x"), int(np.prod(x_shape))) * 2 - 1)
+                   .reshape(x_shape), requires_grad=True, dtype=dtype)
+        out = conv2d(x, spec, lp)
+        proj = rand64(rng.hash64(seed, "p"), out.shape, requires_grad=False).data
+        (out * Tensor(proj.astype(dtype))).sum().backward()
+        y, gw, gx = direct_conv(x.data.astype(np.float64), lp.weight.data.astype(np.float64),
+                                spec.stride, spec.dilation, spec.padding,
+                                proj.astype(dtype).astype(np.float64))
+        y += lp.bias.data.astype(np.float64)[None, :, None, None]
+        tol = 1e-12 if dtype == np.float64 else 2e-6
+        assert out.dtype == lp.weight.grad.dtype == dtype
+        assert oracle_gap(out.data, y) <= tol
+        assert oracle_gap(lp.weight.grad, gw) <= tol
+        assert oracle_gap(x.grad, gx) <= tol
+        return layers._plan(x_shape[2], x_shape[3], spec)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cin", [1, 2, 3, 4])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_against_direct_summation(self, dtype, cin, size):
+        seed = rng.hash64("stacked", cin, *size, np.dtype(dtype).name)
+        kernel = self.KERNELS[seed % len(self.KERNELS)]
+        fits = size[0] >= kernel[0] and size[1] >= kernel[1]
+        pad = "valid" if fits and seed % 3 == 0 else "same"
+        batch = 8 if seed % 2 else 1
+        spec = ConvSpec(cin, 1 + seed % 5, kernel=kernel, padding=pad)
+        assert self.check(spec, (batch, cin) + size, dtype, seed).stacked
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maps_wider_than_one_block(self, dtype, block, monkeypatch):
+        buffers = []
+        stacks = layers._stacks
+
+        def recording(xq, plan, rows):
+            for bn, bk, stack in stacks(xq, plan, rows):
+                buffers.append(stack.base)
+                yield bn, bk, stack
+        monkeypatch.setattr(layers, "_stacks", recording)
+        spec = ConvSpec(4, 8, kernel=3)
+        plan = self.check(spec, (2, 4, 48, 48), dtype, 7)
+        # even at the default block size each image is swept in several blocks
+        assert plan.stacked and len(layers._blocks(1, 9 * 4 + 8, plan.length)) > 1
+        # forward and weight gradient: one stack buffer each, never past one block
+        assert len({id(b) for b in buffers}) == 2
+        assert all(b.size <= layers._BLOCK for b in buffers)
+
+    def test_the_geometry_decides(self, block):
+        stacked = [ConvSpec(4, 16, kernel=3), ConvSpec(1, 1, kernel=2, padding="valid"),
+                   ConvSpec(3, 2, kernel=(1, 3))]
+        per_tap = [ConvSpec(5, 16, kernel=3), ConvSpec(3, 16, kernel=3, dilation=2),
+                   ConvSpec(3, 16, kernel=3, stride=2), ConvSpec(3, 16, kernel=5),
+                   ConvSpec(3, 16, kernel=(1, 4)), ConvSpec(3, 16, kernel=1)]
+        assert [layers._plan(9, 8, spec).stacked for spec in stacked + per_tap] == \
+            [True] * len(stacked) + [False] * len(per_tap)
+
+    def test_dilated_kernels_equal_their_zero_inflated_twins(self, block):
+        # wherever both run per tap, the zero taps add exact zeros in tap order
+        checked = 0
+        for trial in range(240):
+            u = rng.uniform(rng.hash64("inflate", trial), 7)
+            k, d, s = 2 + int(u[0] * 2), 2 + int(u[1] * 2), 1 + int(u[2] * 2)
+            cin = 1 + int(u[3] * 6)
+            e = (k - 1) * d + 1
+            pad = "valid" if u[4] < 0.3 else "same"
+            low = e if pad == "valid" else 1
+            h, w = low + int(u[5] * 8), low + int(u[6] * 8)
+            dtype = (np.float32, np.float64)[trial % 2]
+            spec_d = ConvSpec(cin, 3, kernel=k, stride=s, dilation=d, padding=pad)
+            spec_i = ConvSpec(cin, 3, kernel=e, stride=s, padding=pad)
+            if layers._plan(h, w, spec_i).stacked:
+                continue  # a 3x3 inflation of 2x2 at dilation 2 on <= 4 channels
+            lp_d = init_params(spec_d, rng.hash64(trial, "w"), dtype=dtype)
+            inflated = np.zeros(spec_i.weight_shape, dtype=dtype)
+            inflated[:, :, ::d, ::d] = lp_d.weight.data
+            lp_i = LayerParams("i", spec_i, Tensor(inflated, requires_grad=True),
+                               Tensor(lp_d.bias.data.copy(), requires_grad=True))
+            x_data = (rng.uniform(rng.hash64(trial, "x"), cin * h * w) * 2 - 1).reshape(
+                1, cin, h, w).astype(dtype)
+            results = []
+            for spec, lp, taps in ((spec_d, lp_d, 1), (spec_i, lp_i, d)):
+                x = Tensor(x_data.copy(), requires_grad=True)
+                out = conv2d(x, spec, lp)
+                proj = rand64(rng.hash64(trial, "p"), out.shape, requires_grad=False)
+                (out * Tensor(proj.data.astype(dtype))).sum().backward()
+                results.append((out.data, x.grad, lp.weight.grad[:, :, ::taps, ::taps],
+                                lp.bias.grad))
+            for a, b in zip(*results):
+                assert np.array_equal(a, b)
+            checked += 1
+        assert checked >= 200
+
+
+class TestPitchedSpan:
+    """The pitched output gradient holds exactly the windows the gradients read."""
+
+    @staticmethod
+    def grads(run, monkeypatch, margin):
+        # widen every tap-window plan's pitched buffer by `margin` zeros on each side
+        plan_for = layers._plan_for.__wrapped__
+
+        def wide(*args):
+            plan = plan_for(*args)
+            if plan.disjoint:
+                return plan
+            return dataclasses.replace(plan, lead=plan.lead + margin, span=plan.span + 2 * margin)
+        monkeypatch.setattr(layers, "_plan_for", wide)
+        return run()
+
+    @staticmethod
+    def conv_run(spec, seed, transposed=False):
+        def run():
+            lp = init_params(spec, rng.hash64(seed, "w"), dtype=np.float32)
+            shape = (2, spec.in_channels) + ORACLE_SIZES[seed % len(ORACLE_SIZES)]
+            x = Tensor(rng.uniform(rng.hash64(seed, "x"), int(np.prod(shape))).reshape(shape),
+                       requires_grad=True, dtype=np.float32)
+            out = (transposed_conv2d if transposed else conv2d)(x, spec, lp)
+            proj = rng.uniform(rng.hash64(seed, "p"), out.size).reshape(out.shape)
+            (out * Tensor(proj, dtype=np.float32)).sum().backward()
+            return [out.data, x.grad, lp.weight.grad, lp.bias.grad]
+        return run
+
+    @pytest.mark.parametrize("k,s,d", sorted({g[:3] for g in TestDirectSummationOracle.GEOMETRIES}))
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_gradients_equal_with_a_wider_buffer(self, k, s, d, transposed, monkeypatch):
+        seed = rng.hash64("span", k, s, d, transposed)
+        spec = ConvSpec(3, 5, kernel=k, stride=s, dilation=d, transposed=transposed)
+        run = self.conv_run(spec, seed, transposed)
+        for a, b in zip(run(), self.grads(run, monkeypatch, 7)):
+            assert np.array_equal(a, b)
+
+    def test_shared_layout_span(self):
+        # 3x3: from one row and a pixel above the output to one row and a pixel below
+        for h, w in ((7, 5), (64, 64)):
+            plan = layers._plan(h, w, ConvSpec(8, 8, kernel=3))
+            assert (plan.lead, plan.span) == (plan.wq + 1, (h + 2) * plan.wq + 2)
 
 
 class TestSharedMaps:

@@ -3,6 +3,7 @@ import importlib
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -296,6 +297,44 @@ class TestSharedMaps:
             # the 3x3 convs read the maps of head, tail and each inception or reduction input
             maps = [(id(a), plan.hq, plan.wq) for a, plan in calls if not plan.disjoint]
             assert len(maps) == len(set(maps)) == 1 + 4 + 8 + 1
+
+    def test_forward_maps_are_freed_before_each_concat(self, monkeypatch):
+        # a block drops its input's shared map after its last sibling conv, so
+        # no map outlives the siblings into the block's concat_channels
+        refs, live_at_concat = [], []
+        to_phases, concat = layers._to_phases, model.concat_channels
+
+        def recording(x, plan):
+            xq = to_phases(x, plan)
+            if not plan.disjoint:
+                refs.append(weakref.ref(xq))
+            return xq
+
+        def checking(parts):
+            live_at_concat.append(sum(ref() is not None for ref in refs))
+            return concat(parts)
+        monkeypatch.setattr(layers, "_to_phases", recording)
+        monkeypatch.setattr(model, "concat_channels", checking)
+        params = build_params(SMALL, 15)
+        x = Tensor(rng.uniform(27, 2 * 3 * 32 * 32).reshape(2, 3, 32, 32).astype(np.float32),
+                   requires_grad=True)
+        forward(x, SMALL, params)  # with a graph, whose backward closures hold the maps' slot
+        assert len(refs) == 1 + 4 + 8 + 1 and live_at_concat == [0] * 16
+
+    def test_only_the_head_stacks_its_taps(self, monkeypatch):
+        stacked = []
+
+        def recording(x, spec, params):
+            if layers._plan(x.shape[2], x.shape[3], spec).stacked:
+                stacked.append(params.name)
+            return conv2d(x, spec, params)
+        monkeypatch.setattr(model, "conv2d", recording)
+        config = ModelConfig()
+        x = Tensor(rng.uniform(28, 3 * 32 * 32).reshape(1, 3, 32, 32).astype(np.float32))
+        with no_grad():
+            forward(x, config, build_params(config, 16))
+        # the transposed convs are 2x2 stride 2, whose taps never overlap
+        assert stacked == ["head"]
 
     def test_input_changed_in_place_between_forwards(self):
         params = build_params(SMALL, 13)
