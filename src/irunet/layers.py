@@ -406,7 +406,7 @@ def _tap_weights(weight: np.ndarray) -> np.ndarray:
 
 
 def _stacked_weights(weight: np.ndarray) -> np.ndarray:
-    """[O, C, kh, kw] -> [O, kh*kw*C]: the taps side by side, as the phase maps are stacked."""
+    """[O, C, kh, kw] -> [O, kh*kw*C]: the taps side by side, as maps or windows are stacked."""
     o = weight.shape[0]
     return np.ascontiguousarray(weight.transpose(0, 2, 3, 1)).reshape(o, -1)
 

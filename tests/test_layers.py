@@ -391,7 +391,9 @@ class TestPitchedSpan:
             return [out.data, x.grad, lp.weight.grad, lp.bias.grad]
         return run
 
-    @pytest.mark.parametrize("k,s,d", sorted({g[:3] for g in TestDirectSummationOracle.GEOMETRIES}))
+    GEOMETRIES = sorted({g[:3] for g in TestDirectSummationOracle.GEOMETRIES})
+
+    @pytest.mark.parametrize("k,s,d", GEOMETRIES)
     @pytest.mark.parametrize("transposed", [False, True])
     def test_gradients_equal_with_a_wider_buffer(self, k, s, d, transposed, monkeypatch):
         seed = rng.hash64("span", k, s, d, transposed)
