@@ -220,6 +220,7 @@ class _Plan:
     span: int  # the pitched output gradient's length per channel
     disjoint: bool  # tap t reads all of phase map t: no two taps share an input pixel
     stacked: bool  # the tap windows stack into one K = kh*kw*C GEMM per block
+    kernel: tuple[int, int]  # (kh, kw)
 
     @property
     def length(self) -> int:
@@ -295,7 +296,7 @@ def _plan_for(h: int, w: int, channels: int, kernel, stride, dilation, padding: 
     stacked = ((sh, sw) == (dh, dw) == (1, 1) and kh <= 3 and kw <= 3
                and channels <= _STACK_CHANNELS and not disjoint)
     return _Plan(out_h, out_w, hq, wq, tuple(taps), tuple(cuts), covered == h * w, is_view,
-                 -lo, hi - lo, disjoint, stacked)
+                 -lo, hi - lo, disjoint, stacked, (kh, kw))
 
 
 def _to_phases(x: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -378,25 +379,35 @@ def _tap_sum(out: np.ndarray, taps) -> None:
 
 
 def _stacks(xq: np.ndarray, plan: _Plan, rows: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
-    """(images, positions, stack) per block of a stride-1 plan, in _blocks order.
+    """(images, positions, stack) per block of a stacked plan, in _blocks order.
 
     stack[:, t*C + c, k] = xq[images, 0, c, offset of tap t + k]: the taps'
     windows on top of each other, so one matmul with the stacked weights
-    (_stacked_weights) sums all taps. `rows` sizes the blocks: the stack's
-    kh*kw*C rows plus the O rows of output or gradient it meets, which then
-    share the cache. The stack reuses one buffer of at most _BLOCK elements.
+    (_stacked_weights) sums all taps. At stride 1 and dilation 1, tap (i, j)
+    starts at the first tap's offset + i*wq + j, so one strided view of shape
+    (images, C, kh, kw, positions) holds a block's windows and one copy fills
+    its stack. `rows` sizes the blocks: the stack's kh*kw*C rows plus the O
+    rows of output or gradient it meets, which then share the cache. The
+    stack reuses one buffer of at most _BLOCK elements.
     """
-    n, _, c, _ = xq.shape
-    k = len(plan.taps) * c
+    n, _, c, span = xq.shape
+    kh, kw = plan.kernel
+    first, last = plan.taps[0][1], plan.taps[-1][1]
+    assert [off for _, off in plan.taps] == [first + i * plan.wq + j
+                                             for i in range(kh) for j in range(kw)]
+    assert 0 <= first and last + plan.length <= span  # every block's view stays inside xq
+    s_n, _, s_c, s_k = xq.strides
     buf = None
     for bn, bk in _blocks(n, rows, plan.length):
         nb, width = bn.stop - bn.start, bk.stop - bk.start
         if buf is None:
-            buf = np.empty(nb * k * width, dtype=xq.dtype)
-        stack = buf[:nb * k * width].reshape(nb, k, width)
-        for t, (_, off) in enumerate(plan.taps):
-            stack[:, t * c:(t + 1) * c] = xq[bn, 0, :, off + bk.start:off + bk.stop]
-        yield bn, bk, stack
+            buf = np.empty(nb * kh * kw * c * width, dtype=xq.dtype)
+        stack = buf[:nb * kh * kw * c * width].reshape(nb, kh, kw, c, width)
+        windows = np.lib.stride_tricks.as_strided(
+            xq[bn, 0, :, first + bk.start:], shape=(nb, c, kh, kw, width),
+            strides=(s_n, s_c, plan.wq * s_k, s_k, s_k), writeable=False)
+        stack.transpose(0, 3, 1, 2, 4)[...] = windows
+        yield bn, bk, stack.reshape(nb, kh * kw * c, width)
 
 
 def _tap_weights(weight: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from irunet import model
 from irunet.cli import main
 from irunet.data import DatasetManifest
 from irunet.imageio import load_image, save_image
@@ -281,6 +282,22 @@ class TestDenoiseEvaluate:
         restored = load_image(dst)
         assert restored.shape == (96, 96, 3)
         assert "in.png" in capsys.readouterr().out  # per-image wall time line
+
+    def test_denoise_in_row_bands_writes_the_one_band_bytes(self, tmp_path, trained,
+                                                            monkeypatch):
+        _, ckpt = trained
+        img = np.ascontiguousarray(synth_image(98, size=544)[:, :32])
+        assert img.shape[0] > model._BAND_PIXELS // img.shape[1]  # taller than one band
+        src = tmp_path / "tall.png"
+        save_image(img, src)
+        outputs = []
+        for band_pixels in (model._BAND_PIXELS, img.shape[0] * img.shape[1]):
+            monkeypatch.setattr(model, "_BAND_PIXELS", band_pixels)
+            dst = tmp_path / f"out{band_pixels}.png"
+            assert run_cli(["denoise", "--checkpoint", str(ckpt),
+                            "--input", str(src), "--output", str(dst)]) == 0
+            outputs.append(dst.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_denoise_indivisible_dimensions_exit_2(self, tmp_path, trained, capsys):
         _, ckpt = trained

@@ -362,6 +362,23 @@ class TestStackedTaps:
         assert checked >= 200
 
 
+@pytest.mark.parametrize("shape", [(1, 3, 256, 256), (8, 3, 64, 64), (1, 3, 96, 160)])
+def test_stack_copies_each_tap_window(shape):
+    # the model's head: one strided copy per block fills what nine tap copies would
+    spec = ConvSpec(3, 16, kernel=3, relu=True)
+    plan = layers._plan(shape[2], shape[3], spec)
+    x = rng.uniform(rng.hash64("stack", *shape), int(np.prod(shape))).reshape(shape)
+    xq = layers._to_phases(x.astype(np.float32), plan)
+    c, rows = shape[1], 9 * 3 + 16
+    blocks = []
+    for bn, bk, stack in layers._stacks(xq, plan, rows):  # one buffer, refilled per block
+        per_tap = np.concatenate([xq[bn, 0, :, off + bk.start:off + bk.stop]
+                                  for _, off in plan.taps], axis=1)
+        assert np.array_equal(stack, per_tap)
+        blocks.append((bn, bk))
+    assert plan.stacked and blocks == layers._blocks(shape[0], rows, plan.length)
+
+
 class TestPitchedSpan:
     """The pitched output gradient holds exactly the windows the gradients read."""
 

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -8,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from irunet import layers, metrics, model, rng
+from irunet import imageio, layers, metrics, model, rng
 from irunet.layers import conv2d
 from irunet.model import (ModelConfig, build_params, forward, inception_block,
                           inception_reduction_block, layer_specs, param_count)
@@ -358,6 +359,87 @@ class TestSharedMaps:
             results.append([z.data, x.grad] + [t.grad for t in params.named_tensors().values()])
         for a, b in zip(*results):
             assert np.array_equal(a, b)
+
+
+class TestRowBands:
+    """Under no_grad the full-resolution stage runs in row bands of the output."""
+
+    @pytest.fixture
+    def tails(self, monkeypatch):
+        """The input height of each `tail` call: one per band."""
+        heights = []
+
+        def counting(x, spec, lp):
+            if lp.name == "tail":
+                heights.append(x.shape[2])
+            return conv2d(x, spec, lp)
+        monkeypatch.setattr(model, "conv2d", counting)
+        return heights
+
+    @staticmethod
+    def banded(x_data, config, params, monkeypatch, band_pixels):
+        monkeypatch.setattr(model, "_BAND_PIXELS", band_pixels)
+        with no_grad():
+            return forward(Tensor(x_data), config, params).data
+
+    @pytest.mark.parametrize("config, shape, band_rows", [
+        (ModelConfig(), (1, 3, 336, 80), 64),  # five full bands and a short last one
+        (ModelConfig(), (2, 3, 160, 96), 48),
+        (ModelConfig(), (1, 3, 208, 32), 40),  # not a multiple of the band height
+        (dataclasses.replace(SMALL, kernel=5), (1, 3, 112, 16), 24),  # halo 6
+        (dataclasses.replace(SMALL, kernel=1), (1, 3, 32, 16), 2),  # no halo
+    ])
+    def test_bands_equal_one_band(self, config, shape, band_rows, tails, monkeypatch):
+        params = build_params(config, 17)
+        n, _, h, w = shape
+        x_data = rng.uniform(rng.hash64("bands", *shape), int(np.prod(shape))).reshape(
+            shape).astype(np.float32)
+        whole = self.banded(x_data, config, params, monkeypatch, h * w)
+        assert tails == [h]
+        tails.clear()
+        banded = self.banded(x_data, config, params, monkeypatch, band_rows * w)
+        assert len(tails) == -(-h // band_rows)
+        assert max(tails) == band_rows + 2 * model._halo(config)
+        assert banded.shape == whole.shape and banded.dtype == whole.dtype
+        assert np.abs(banded - whole).max() <= 1e-6
+        for i in range(n):
+            assert np.array_equal(imageio.tensor_to_image(banded[i]),
+                                  imageio.tensor_to_image(whole[i]))
+
+    def test_halo_covers_dec4_inc_and_tail(self):
+        # the widest branch's reach plus tail's, rounded up to even
+        halos = [model._halo(ModelConfig(kernel=k, dilation_rate=d))
+                 for k, d in ((3, 2), (3, 1), (5, 2), (2, 2), (1, 2))]
+        assert halos == [4, 2, 6, 2, 0]
+
+    def test_full_resolution_concats_hold_one_band_and_its_halo(self, monkeypatch):
+        config = ModelConfig()
+        h, w = 512, 64
+        rows = model._BAND_PIXELS // w
+        assert rows < h  # the default budget bands this image
+        heights = []
+        concat = model.concat_channels
+
+        def recording(parts):
+            if parts[0].shape[3] == w:
+                heights.append(parts[0].shape[2])
+            return concat(parts)
+        monkeypatch.setattr(model, "concat_channels", recording)
+        x = Tensor(rng.uniform(29, 3 * h * w).reshape(1, 3, h, w).astype(np.float32))
+        with no_grad():
+            forward(x, config, build_params(config, 18))
+        # each band concats twice: dec4's skip and dec4.inc's branches
+        assert len(heights) == 2 * -(-h // rows)
+        assert max(heights) <= rows + 2 * model._halo(config)
+
+    def test_a_forward_that_records_a_graph_runs_one_band(self, tails, monkeypatch):
+        params = build_params(SMALL, 19)
+        x_data = rng.uniform(30, 3 * 64 * 16).reshape(1, 3, 64, 16).astype(np.float32)
+        monkeypatch.setattr(model, "_BAND_PIXELS", 16 * 16)
+        z = forward(Tensor(x_data), SMALL, params)
+        assert tails == [64] and z.requires_grad
+        banded = self.banded(x_data, SMALL, params, monkeypatch, 16 * 16)
+        assert len(tails) > 2 and np.abs(banded - z.data).max() <= 1e-6
 
 
 class TestParamCount:
