@@ -11,8 +11,8 @@ from .model import (ModelConfig, ParamStore, build_params, forward,
                     inception_block, inception_reduction_block, layer_specs, param_count)
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, save_training_checkpoint
 from .noise import NoiseSpec, corrupt
-from .data import DatasetManifest, ManifestRow, batch_iter, build_manifest
-from .imageio import ImageFormatError, load_image, quantize, save_image, to_batch, to_tensor
+from .data import DatasetManifest, ManifestRow, build_manifest
+from .imageio import ImageFormatError, load_image, quantize, save_image, to_batch
 from .metrics import MetricReport, evaluate, evaluate_model, mae_loss, psnr, ssim
 from .optim import AdamState, adam_step
 from .train import NonFiniteLossError, TrainConfig, TrainResult, train
@@ -26,8 +26,8 @@ __all__ = [
     "inception_block", "inception_reduction_block", "layer_specs", "param_count",
     "CheckpointError", "load_checkpoint", "save_checkpoint", "save_training_checkpoint",
     "NoiseSpec", "corrupt",
-    "DatasetManifest", "ManifestRow", "batch_iter", "build_manifest",
-    "ImageFormatError", "load_image", "quantize", "save_image", "to_batch", "to_tensor",
+    "DatasetManifest", "ManifestRow", "build_manifest",
+    "ImageFormatError", "load_image", "quantize", "save_image", "to_batch",
     "MetricReport", "evaluate", "evaluate_model", "mae_loss", "psnr", "ssim",
     "AdamState", "adam_step",
     "NonFiniteLossError", "TrainConfig", "TrainResult", "train",

@@ -16,6 +16,7 @@ reader handles both flavors by the bytes remaining after the parameters.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass, fields
@@ -88,13 +89,14 @@ def _encode_tensor(name: str, data: np.ndarray) -> bytes:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, path):
         self.buf = buf
         self.pos = 0
+        self.path = path  # named in every error
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise CheckpointError("truncated checkpoint")
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
         out = self.buf[self.pos:self.pos + n]
         self.pos += n
         return out
@@ -115,13 +117,17 @@ class _Reader:
         return struct.unpack("<q", self.take(8))[0]
 
     def name(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+        raw = self.take(self.u16())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{self.path}: name is not UTF-8: {raw!r}") from None
 
     def tensor(self) -> tuple[str, np.ndarray]:
         name = self.name()
         ndim = self.u8()
         shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
-        count = int(np.prod(shape)) if ndim else 1
+        count = math.prod(shape)  # exact: np.prod wraps at 2**63
         payload = self.take(4 * count)
         data = np.frombuffer(payload, dtype="<f4", count=count).reshape(shape)
         return name, data.astype(np.float32)
@@ -182,7 +188,7 @@ class LoadedCheckpoint:
     state: AdamState | None
 
 
-def load_checkpoint(path, dtype=np.float32) -> LoadedCheckpoint:
+def load_checkpoint(path) -> LoadedCheckpoint:
     """Parse and validate a checkpoint (model or training flavor)."""
     with open(path, "rb") as f:
         buf = f.read()
@@ -196,7 +202,7 @@ def load_checkpoint(path, dtype=np.float32) -> LoadedCheckpoint:
         raise CheckpointError(
             f"{path}: CRC mismatch (stored {crc_stored:#010x}, computed {crc_actual:#010x})")
 
-    r = _Reader(buf[:-4])
+    r = _Reader(buf[:-4], path)
     r.take(4)  # magic, already checked
     version = r.u32()
     if version != VERSION:
@@ -235,8 +241,8 @@ def load_checkpoint(path, dtype=np.float32) -> LoadedCheckpoint:
     for lname, spec in layer_specs(config):
         params.add(LayerParams(
             name=lname, spec=spec,
-            weight=Tensor(loaded[f"{lname}.weight"].astype(dtype), requires_grad=True),
-            bias=Tensor(loaded[f"{lname}.bias"].astype(dtype), requires_grad=True),
+            weight=Tensor(loaded[f"{lname}.weight"], requires_grad=True),
+            bias=Tensor(loaded[f"{lname}.bias"], requires_grad=True),
         ))
 
     state: AdamState | None = None
@@ -258,7 +264,7 @@ def load_checkpoint(path, dtype=np.float32) -> LoadedCheckpoint:
                 raise CheckpointError(f"{path}: optimizer tensor {name!r} shape mismatch")
             if base in target:
                 raise CheckpointError(f"{path}: duplicate optimizer tensor {name!r}")
-            target[base] = data.astype(dtype)
+            target[base] = data
         if set(m) != set(expected) or set(v) != set(expected):
             raise CheckpointError(f"{path}: incomplete optimizer state")
         state = AdamState(m=m, v=v, t=step)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import imageio, rng
 from .noise import SIGMA_MAX, NoiseSpec, corrupt
 
@@ -58,6 +56,11 @@ class DatasetManifest:
         if split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
         return [r for r in self.rows if r.split == split]
+
+    def missing_files(self, rows: list[ManifestRow]) -> str:
+        """The listing of the rows' clean files that do not exist, each once; "" if none."""
+        missing = dict.fromkeys(p for p in map(self.resolve, rows) if not os.path.isfile(p))
+        return "missing clean files:\n  " + "\n  ".join(missing) if missing else ""
 
     def sigma_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -111,11 +114,9 @@ class DatasetManifest:
             first_line[key] = i
             rows.append(row)
         manifest = cls(rows, root=root)
-        missing = [manifest.resolve(r) for r in manifest.rows
-                   if not os.path.isfile(manifest.resolve(r))]
+        missing = manifest.missing_files(manifest.rows)
         if missing:
-            listing = "\n  ".join(dict.fromkeys(missing))
-            raise FileNotFoundError(f"{path}: missing clean files:\n  {listing}")
+            raise FileNotFoundError(f"{path}: {missing}")
         return manifest
 
 
@@ -171,25 +172,23 @@ def epoch_plan(rows: list[ManifestRow], batch_size: int, epoch_seed: int) -> lis
     return [shuffled[i:i + batch_size] for i in range(0, len(shuffled), batch_size)]
 
 
-def materialize_batch(manifest: DatasetManifest, batch_rows: list[ManifestRow],
-                      dtype=np.float32, cache: dict | None = None):
+def materialize_batch(manifest: DatasetManifest, batch_rows: list[ManifestRow], cache: dict):
     """Load, corrupt and normalize one batch.
 
-    Returns (noisy [N,3,H,W] in [0,1], clean [N,3,H,W] in [0,1], sigma vector).
-    All images in the batch must share dimensions. A row's corruption is a
-    pure function of (clean image, sigma, seed), so `cache` keeps each row's
-    (clean, noisy) uint8 pair and corrupts it once.
+    Returns (noisy [N,3,H,W] in [0,1], clean [N,3,H,W] in [0,1]). All images
+    in the batch must share dimensions. A row's corruption is a pure function
+    of (clean image, sigma, seed), so `cache` keeps each row's (clean, noisy)
+    uint8 pair and corrupts it once.
     """
     cleans, noisies = [], []
     for row in batch_rows:
         key = _instance(manifest.root, row)
-        if cache is not None and key in cache:
+        if key in cache:
             clean, noisy = cache[key]
         else:
             clean = imageio.load_image(manifest.resolve(row))
             noisy = corrupt(clean, NoiseSpec(sigma=float(row.sigma), seed=row.seed))
-            if cache is not None:
-                cache[key] = clean, noisy
+            cache[key] = clean, noisy
         cleans.append(clean)
         noisies.append(noisy)
     shape = cleans[0].shape
@@ -197,15 +196,4 @@ def materialize_batch(manifest: DatasetManifest, batch_rows: list[ManifestRow],
         if img.shape != shape:
             raise ValueError(
                 f"mixed dimensions in one batch: {shape} vs {img.shape} ({row.clean_path})")
-    noisy_t = imageio.to_batch(noisies, dtype=dtype)
-    clean_t = imageio.to_batch(cleans, dtype=dtype)
-    sigmas = np.array([row.sigma for row in batch_rows], dtype=np.float64)
-    return noisy_t, clean_t, sigmas
-
-
-def batch_iter(manifest: DatasetManifest, split: str, batch_size: int,
-               epoch_seed: int, dtype=np.float32, cache: dict | None = None):
-    """Stream one epoch of (noisy, clean, sigmas) batches, deterministically."""
-    rows = manifest.split_rows(split)
-    for batch_rows in epoch_plan(rows, batch_size, epoch_seed):
-        yield materialize_batch(manifest, batch_rows, dtype=dtype, cache=cache)
+    return imageio.to_batch(noisies), imageio.to_batch(cleans)

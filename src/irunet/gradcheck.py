@@ -91,27 +91,26 @@ def _kink_distance(build: Callable[[], Tensor]) -> float:
     return closest[0]
 
 
-def _finite_difference(loss_fn: Callable[[], float], targets: dict[str, Tensor],
-                       step: float = FD_STEP) -> dict[str, np.ndarray]:
+def _finite_difference(loss_fn: Callable[[], float],
+                       targets: dict[str, Tensor]) -> dict[str, np.ndarray]:
     grads = {}
     for name, t in targets.items():
         flat = t.data.reshape(-1)
         g = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             f_plus = loss_fn()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             f_minus = loss_fn()
             flat[i] = orig
-            g[i] = (f_plus - f_minus) / (2.0 * step)
+            g[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
         grads[name] = g.reshape(t.shape)
     return grads
 
 
 def _run_case(name: str, build: Callable[[], Tensor], targets: dict[str, Tensor],
-              tolerance: float, fault_scale: float = 1.0,
-              start: float | None = None) -> CheckResult:
+              tolerance: float, start: float | None = None) -> CheckResult:
     """Compare backward() against central differences for one forward map."""
     if start is None:
         start = time.perf_counter()
@@ -119,7 +118,7 @@ def _run_case(name: str, build: Callable[[], Tensor], targets: dict[str, Tensor]
     proj = rng.uniform(rng.hash64("proj", name), out.size).reshape(out.shape) * 2.0 - 1.0
     loss = (out * Tensor(proj, dtype=np.float64)).sum()
     loss.backward()
-    ad = {k: t.grad.copy() * fault_scale if t.grad is not None else np.zeros_like(t.data)
+    ad = {k: t.grad if t.grad is not None else np.zeros_like(t.data)
           for k, t in targets.items()}
     for t in targets.values():
         t.zero_grad()
@@ -136,18 +135,17 @@ def _run_case(name: str, build: Callable[[], Tensor], targets: dict[str, Tensor]
 
 
 def _generic_case(name: str, make: Callable[[int], tuple], tolerance: float,
-                  seed: int, fault_scale: float = 1.0) -> CheckResult:
+                  seed: int) -> CheckResult:
     """Build the case at the first derived seed whose probe point is generic."""
     start = time.perf_counter()
     for attempt in range(MAX_PROBE_ATTEMPTS):
         build, targets = make(rng.hash64(seed, name, attempt))
         if _kink_distance(build) > KINK_MARGIN:
-            return _run_case(name, build, targets, tolerance, fault_scale, start=start)
+            return _run_case(name, build, targets, tolerance, start=start)
     raise RuntimeError(f"{name}: no generic probe point in {MAX_PROBE_ATTEMPTS} attempts")
 
 
-def _layer_case(name: str, spec: ConvSpec, in_shape, seed: int,
-                fault_scale: float = 1.0) -> CheckResult:
+def _layer_case(name: str, spec: ConvSpec, in_shape, seed: int) -> CheckResult:
     op = transposed_conv2d if spec.transposed else conv2d
 
     def make(case_seed: int):
@@ -157,29 +155,29 @@ def _layer_case(name: str, spec: ConvSpec, in_shape, seed: int,
         return (lambda: op(x, spec, lp)), {"x": x, "weight": lp.weight, "bias": lp.bias}
 
     if spec.relu:  # a fused relu needs a probe point clear of its kink
-        return _generic_case(name, make, LAYER_TOL, seed, fault_scale)
+        return _generic_case(name, make, LAYER_TOL, seed)
     build, targets = make(seed)
-    return _run_case(name, build, targets, LAYER_TOL, fault_scale)
+    return _run_case(name, build, targets, LAYER_TOL)
 
 
-def check_layers(seed: int = 0, fault_scale: float = 1.0) -> list[CheckResult]:
+def check_layers(seed: int = 0) -> list[CheckResult]:
     results = [
-        _layer_case("conv2d_3x3_same", ConvSpec(3, 4, kernel=3), (2, 3, 5, 6), seed, fault_scale),
-        _layer_case("conv2d_3x3_stride2", ConvSpec(3, 4, kernel=3, stride=2), (1, 3, 6, 6), seed, fault_scale),
-        _layer_case("conv2d_3x3_dilation2", ConvSpec(2, 3, kernel=3, dilation=2), (1, 2, 7, 7), seed, fault_scale),
-        _layer_case("conv2d_3x3_relu", ConvSpec(3, 4, kernel=3, relu=True), (2, 3, 5, 6), seed, fault_scale),
-        _layer_case("conv2d_2x2_valid", ConvSpec(2, 2, kernel=2, padding="valid"), (1, 2, 4, 5), seed, fault_scale),
-        _layer_case("tconv_2x2_stride2", ConvSpec(3, 2, kernel=2, stride=2, transposed=True), (1, 3, 3, 3), seed, fault_scale),
-        _layer_case("tconv_3x3_stride1", ConvSpec(2, 3, kernel=3, transposed=True), (1, 2, 4, 4), seed, fault_scale),
-        _layer_case("tconv_3x3_stride2_dil2", ConvSpec(2, 2, kernel=3, stride=2, dilation=2, transposed=True), (1, 2, 3, 3), seed, fault_scale),
+        _layer_case("conv2d_3x3_same", ConvSpec(3, 4, kernel=3), (2, 3, 5, 6), seed),
+        _layer_case("conv2d_3x3_stride2", ConvSpec(3, 4, kernel=3, stride=2), (1, 3, 6, 6), seed),
+        _layer_case("conv2d_3x3_dilation2", ConvSpec(2, 3, kernel=3, dilation=2), (1, 2, 7, 7), seed),
+        _layer_case("conv2d_3x3_relu", ConvSpec(3, 4, kernel=3, relu=True), (2, 3, 5, 6), seed),
+        _layer_case("conv2d_2x2_valid", ConvSpec(2, 2, kernel=2, padding="valid"), (1, 2, 4, 5), seed),
+        _layer_case("tconv_2x2_stride2", ConvSpec(3, 2, kernel=2, stride=2, transposed=True), (1, 3, 3, 3), seed),
+        _layer_case("tconv_3x3_stride1", ConvSpec(2, 3, kernel=3, transposed=True), (1, 2, 4, 4), seed),
+        _layer_case("tconv_3x3_stride2_dil2", ConvSpec(2, 2, kernel=3, stride=2, dilation=2, transposed=True), (1, 2, 3, 3), seed),
     ]
     x = _random_tensor(rng.hash64(seed, "pool", "x"), (2, 3, 4, 6))
     results.append(_run_case("avg_pool_2x2", lambda: avg_pool2d(x), {"x": x},
-                             LAYER_TOL, fault_scale))
+                             LAYER_TOL))
     return results
 
 
-def check_blocks(seed: int = 0, fault_scale: float = 1.0) -> list[CheckResult]:
+def check_blocks(seed: int = 0) -> list[CheckResult]:
     config = ModelConfig(input_channels=3, base_width=4, stage_widths=(6, 6, 6, 6),
                          branch_width=2)
 
@@ -202,18 +200,14 @@ def check_blocks(seed: int = 0, fault_scale: float = 1.0) -> list[CheckResult]:
         return (lambda: inception_reduction_block(x, params, "enc1.red")), targets
 
     return [
-        _generic_case("inception_block", make_inception, LAYER_TOL, seed, fault_scale),
-        _generic_case("inception_reduction_block", make_reduction, LAYER_TOL, seed, fault_scale),
+        _generic_case("inception_block", make_inception, LAYER_TOL, seed),
+        _generic_case("inception_reduction_block", make_reduction, LAYER_TOL, seed),
     ]
 
 
-def tiny_model_config() -> ModelConfig:
-    return ModelConfig(input_channels=3, base_width=2, stage_widths=(2, 2, 2, 2),
-                       branch_width=1)
-
-
-def check_model(seed: int = 0, fault_scale: float = 1.0) -> list[CheckResult]:
-    config = tiny_model_config()
+def check_model(seed: int = 0) -> list[CheckResult]:
+    config = ModelConfig(input_channels=3, base_width=2, stage_widths=(2, 2, 2, 2),
+                         branch_width=1)
 
     def make(case_seed: int):
         params = build_params(config, case_seed, dtype=np.float64)
@@ -224,7 +218,7 @@ def check_model(seed: int = 0, fault_scale: float = 1.0) -> list[CheckResult]:
         targets.update(params.named_tensors())
         return (lambda: forward(x, config, params)), targets
 
-    return [_generic_case("tiny_full_model", make, MODEL_TOL, seed, fault_scale)]
+    return [_generic_case("tiny_full_model", make, MODEL_TOL, seed)]
 
 
 LEVELS = {
@@ -234,13 +228,13 @@ LEVELS = {
 }
 
 
-def run(level: str, seed: int = 0, fault_scale: float = 1.0) -> list[CheckResult]:
+def run(level: str, seed: int = 0) -> list[CheckResult]:
     """Run one level ('layer', 'block', 'model') or 'all'."""
     if level == "all":
         results = []
         for fn in LEVELS.values():
-            results.extend(fn(seed=seed, fault_scale=fault_scale))
+            results.extend(fn(seed=seed))
         return results
     if level not in LEVELS:
         raise ValueError(f"unknown gradcheck level {level!r}")
-    return LEVELS[level](seed=seed, fault_scale=fault_scale)
+    return LEVELS[level](seed=seed)

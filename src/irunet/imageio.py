@@ -249,24 +249,18 @@ def save_image(img: np.ndarray, path) -> None:
         raise ImageFormatError(f"{path}: unsupported output extension (.png or .ppm)")
 
 
-def to_tensor(img: np.ndarray, dtype=np.float32) -> Tensor:
-    """Ingest uint8 [H,W,3] as a [3,H,W] tensor normalized to [0,1]."""
-    if img.dtype != np.uint8 or img.ndim != 3 or img.shape[2] != 3:
-        raise ValueError("to_tensor expects a uint8 [H,W,3] image")
-    chw = np.transpose(img, (2, 0, 1)).astype(dtype) / dtype(255)
-    return Tensor(chw)
-
-
-def to_batch(imgs: list[np.ndarray], dtype=np.float32) -> Tensor:
-    """Stack equal-sized uint8 [H,W,3] images into a [N,3,H,W] tensor in [0,1]."""
+def to_batch(imgs: list[np.ndarray]) -> Tensor:
+    """Stack equal-sized uint8 [H,W,3] images into a float32 [N,3,H,W] tensor in [0,1]."""
     if not imgs:
         raise ValueError("to_batch needs at least one image")
     shape = imgs[0].shape
     for im in imgs:
+        if im.dtype != np.uint8 or im.ndim != 3 or im.shape[2] != 3:
+            raise ValueError("to_batch expects uint8 [H,W,3] images")
         if im.shape != shape:
             raise ValueError(f"mixed image dimensions in batch: {shape} vs {im.shape}")
     planes = [np.transpose(im, (2, 0, 1)) for im in imgs]
-    data = np.stack(planes).astype(dtype) / dtype(255)
+    data = np.stack(planes).astype(np.float32) / np.float32(255)
     return Tensor(data)
 
 

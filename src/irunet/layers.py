@@ -495,6 +495,9 @@ def _check_layer_input(x: Tensor, spec: ConvSpec, params: LayerParams) -> None:
     if params.weight.shape != spec.weight_shape:
         raise ValueError(
             f"weight shape {params.weight.shape} does not match spec {spec.weight_shape}")
+    if params.bias.shape != spec.bias_shape:
+        raise ValueError(
+            f"bias shape {params.bias.shape} does not match spec {spec.bias_shape}")
     if params.weight.dtype != x.dtype or params.bias.dtype != x.dtype:
         raise ValueError("input and parameter dtypes must match")
 
@@ -610,33 +613,26 @@ def transposed_conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     return Tensor._make(y, (x, weight, bias), backward)
 
 
-def avg_pool2d(x: Tensor, window: tuple[int, int] = (2, 2),
-               stride: tuple[int, int] = (2, 2)) -> Tensor:
-    """Non-overlapping average pooling; backward spreads gradient uniformly."""
-    window = _pair(window)
-    stride = _pair(stride)
-    if window != stride:
-        raise ValueError("avg_pool2d supports window == stride only")
+def avg_pool2d(x: Tensor) -> Tensor:
+    """Non-overlapping 2x2 average pooling; backward spreads gradient uniformly."""
     if x.ndim != 4:
         raise ValueError(f"expected [N,C,H,W] input, got shape {x.shape}")
     n, c, h, w = x.shape
-    wh, ww = window
-    if h % wh or w % ww:
-        raise ValueError(f"spatial extents {h}x{w} not divisible by window {wh}x{ww}")
-    inv = 1.0 / (wh * ww)
+    if h % 2 or w % 2:
+        raise ValueError(f"spatial extents {h}x{w} not divisible by window 2x2")
     # summing strided views is far cheaper than a mean over a 6-D reshape
-    y = np.zeros((n, c, h // wh, w // ww), dtype=x.dtype)
-    for a in range(wh):
-        for b in range(ww):
-            y += x.data[:, :, a::wh, b::ww]
-    y *= inv
+    y = np.zeros((n, c, h // 2, w // 2), dtype=x.dtype)
+    for a in range(2):
+        for b in range(2):
+            y += x.data[:, :, a::2, b::2]
+    y *= 0.25
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            gi = g * inv
+            gi = g * 0.25
             gx = np.empty(x.shape, dtype=gi.dtype)
-            for a in range(wh):
-                for b in range(ww):
-                    gx[:, :, a::wh, b::ww] = gi
+            for a in range(2):
+                for b in range(2):
+                    gx[:, :, a::2, b::2] = gi
             x.accumulate_grad(gx, owned=True)
     return Tensor._make(y, (x,), backward)

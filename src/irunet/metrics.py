@@ -10,7 +10,6 @@ valid window positions and then over channels.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,24 +158,19 @@ class MetricReport:
 
 
 def evaluate_model(params, config, manifest: DatasetManifest, split: str,
-                   unit_scale_psnr: bool = False, denoiser=None) -> MetricReport:
+                   unit_scale_psnr: bool = False) -> MetricReport:
     """Denoise every image of the split and score against its clean original.
 
     Outputs are quantized to 8 bits before scoring. With unit_scale_psnr the
     PSNR is instead computed on the raw [0,1] reconstruction with peak 1
     (SSIM stays in the 8-bit domain). MAE is reported on the [0,1] scale.
-    `denoiser` overrides the model forward pass (e.g. an identity stub for
-    pipeline checks); it receives and returns a [1,3,H,W] tensor.
     """
     rows = manifest.split_rows(split)
     if not rows:
         raise ValueError(f"split {split!r} is empty")
-    missing = [manifest.resolve(r) for r in rows if not os.path.isfile(manifest.resolve(r))]
+    missing = manifest.missing_files(rows)
     if missing:
-        listing = "\n  ".join(dict.fromkeys(missing))
-        raise FileNotFoundError(f"missing clean files:\n  {listing}")
-    if denoiser is None:
-        denoiser = lambda x: forward(x, config, params)
+        raise FileNotFoundError(missing)
 
     report = MetricReport()
     for row in rows:
@@ -184,7 +178,7 @@ def evaluate_model(params, config, manifest: DatasetManifest, split: str,
         noisy = corrupt(clean, NoiseSpec(sigma=float(row.sigma), seed=row.seed))
         x = imageio.to_batch([noisy])
         with no_grad():
-            z = denoiser(x)
+            z = forward(x, config, params)
         restored = imageio.tensor_to_image(z)
         if unit_scale_psnr:
             z_hwc = np.transpose(z.data[0], (1, 2, 0)).astype(np.float64)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -93,15 +92,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> LayerParams:
         return self._layers[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._layers
-
-    def __len__(self) -> int:
-        return len(self._layers)
-
-    def layers(self) -> Iterator[LayerParams]:
-        return iter(self._layers.values())
 
     def named_tensors(self) -> dict[str, Tensor]:
         """Flat view: '<layer>.weight' / '<layer>.bias' to tensor, in layer order."""

@@ -23,13 +23,10 @@ class NoiseSpec:
 
     sigma: float
     seed: int
-    mean: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.sigma <= SIGMA_MAX:
             raise ValueError(f"sigma must be in [0, {SIGMA_MAX:g}], got {self.sigma}")
-        if self.mean != 0.0:
-            raise ValueError("noise mean is fixed at zero")
 
 
 def corrupt(clean: np.ndarray, spec: NoiseSpec) -> np.ndarray:

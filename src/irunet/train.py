@@ -138,8 +138,7 @@ def train_from(model_config: ModelConfig, train_config: TrainConfig,
             plan = epoch_plan(rows, train_config.batch_size,
                               rng.hash64(train_config.epoch_seed, epoch))
             plan_epoch = epoch
-        noisy, clean, _ = materialize_batch(manifest, plan[step % batches_per_epoch],
-                                            cache=cache)
+        noisy, clean = materialize_batch(manifest, plan[step % batches_per_epoch], cache=cache)
 
         z = forward(noisy, model_config, params)
         loss = mae_loss(z, clean)

@@ -231,3 +231,47 @@ def test_config_field_mismatch_names_file(tmp_path):
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: ")
     assert "sigma_lox" in str(err.value)
+
+
+FIRST_PARAM = layer_specs(CFG)[0][0].encode() + b".weight"
+
+
+def split_at_param_count(tmp_path):
+    """A valid checkpoint body as (bytes before the parameter count, the count,
+    the parameters and everything after them, CRC excluded)."""
+    path = tmp_path / "valid.ckpt"
+    save_checkpoint(build_params(CFG, 17), CFG, path)
+    body = path.read_bytes()[:-4]
+    start = body.index(struct.pack("<H", len(FIRST_PARAM)) + FIRST_PARAM)
+    return body[:start - 4], struct.unpack("<I", body[start - 4:start])[0], body[start:]
+
+
+def with_valid_crc(tmp_path, body: bytes):
+    path = tmp_path / "crafted.ckpt"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    return path
+
+
+def test_dims_overflowing_int64_are_checkpoint_error_naming_file(tmp_path):
+    # 2**31 * 2**31 * 4 == 2**64 elements: a wrapped int64 product would read 0
+    before, count, _ = split_at_param_count(tmp_path)
+    path = with_valid_crc(tmp_path, before + struct.pack("<IH", count, len(FIRST_PARAM))
+                          + FIRST_PARAM + struct.pack("<B3I", 3, 2**31, 2**31, 4))
+    with pytest.raises(CheckpointError, match="truncated") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_non_utf8_name_is_checkpoint_error_naming_file(tmp_path):
+    path = patched_config_file(tmp_path, b"sigma_low", b"sigma_lo\xff")
+    with pytest.raises(CheckpointError, match="UTF-8") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_count_past_the_end_is_checkpoint_error_naming_file(tmp_path):
+    before, count, params = split_at_param_count(tmp_path)
+    path = with_valid_crc(tmp_path, before + struct.pack("<I", count + 1) + params)
+    with pytest.raises(CheckpointError, match="truncated") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")

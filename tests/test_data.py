@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from irunet import data
-from irunet.data import (DatasetManifest, ManifestRow, batch_iter, build_manifest,
-                         epoch_plan, materialize_batch)
+from irunet.data import (DatasetManifest, ManifestRow, build_manifest, epoch_plan,
+                         materialize_batch)
 
 from conftest import write_corpus
 
@@ -80,6 +80,17 @@ class TestManifestIO:
         with pytest.raises(FileNotFoundError, match=names[0]):
             DatasetManifest.load(path)
 
+    def test_missing_files_message_lists_each_file_once(self, tmp_path, corpus8):
+        clean_dir, names = corpus8
+        path = tmp_path / "m.csv"
+        path.write_text(f"clean_path,sigma,seed,split\nclean/{names[0]},10,1,train\n"
+                        f"clean/{names[1]},10,2,test\nclean/{names[0]},25,3,test\n")
+        (clean_dir / names[0]).unlink()
+        with pytest.raises(FileNotFoundError) as err:
+            DatasetManifest.load(path)
+        missing = tmp_path / "clean" / names[0]
+        assert str(err.value) == f"{path}: missing clean files:\n  {missing}"
+
     def test_duplicate_rows_rejected(self):
         row = ManifestRow("a.png", 25, 7, "train")
         with pytest.raises(ValueError, match="unique"):
@@ -143,29 +154,38 @@ class TestManifestIO:
             ManifestRow("a.png", 25, 7, "validation")
 
 
+def epoch_batches(manifest, split, batch_size, epoch_seed, cache=None):
+    """One epoch as train() builds it: (rows, noisy, clean) per planned batch."""
+    cache = {} if cache is None else cache
+    for rows in epoch_plan(manifest.split_rows(split), batch_size, epoch_seed):
+        yield (rows, *materialize_batch(manifest, rows, cache))
+
+
 class TestBatchIter:
+    """An epoch's batches as train() builds them: epoch_plan, then materialize_batch."""
+
     def test_identical_epochs_for_same_seed(self, corpus8):
         clean_dir, _ = corpus8
         manifest = build_manifest(clean_dir, [10, 25], base_seed=4, split_ratio=1.0)
-        a = list(batch_iter(manifest, "train", 3, epoch_seed=7))
-        b = list(batch_iter(manifest, "train", 3, epoch_seed=7))
+        a = list(epoch_batches(manifest, "train", 3, epoch_seed=7))
+        b = list(epoch_batches(manifest, "train", 3, epoch_seed=7))
         assert len(a) == len(b) == 3  # 8 rows in batches of 3
-        for (na, ca, sa), (nb, cb, sb) in zip(a, b):
+        for (ra, na, ca), (rb, nb, cb) in zip(a, b):
+            assert ra == rb
             assert np.array_equal(na.data, nb.data)
             assert np.array_equal(ca.data, cb.data)
-            assert np.array_equal(sa, sb)
 
     def test_different_epoch_seed_changes_order(self, corpus8):
         clean_dir, _ = corpus8
         manifest = build_manifest(clean_dir, list(range(8)), base_seed=4, split_ratio=1.0)
-        a = np.concatenate([s for _, _, s in batch_iter(manifest, "train", 2, epoch_seed=1)])
-        b = np.concatenate([s for _, _, s in batch_iter(manifest, "train", 2, epoch_seed=2)])
-        assert not np.array_equal(a, b)
+        a = [r.sigma for rows, _, _ in epoch_batches(manifest, "train", 2, 1) for r in rows]
+        b = [r.sigma for rows, _, _ in epoch_batches(manifest, "train", 2, 2) for r in rows]
+        assert a != b
 
     def test_values_normalized(self, corpus8):
         clean_dir, _ = corpus8
         manifest = build_manifest(clean_dir, [50], base_seed=4, split_ratio=1.0)
-        for noisy, clean, _ in batch_iter(manifest, "train", 4, epoch_seed=7):
+        for _, noisy, clean in epoch_batches(manifest, "train", 4, epoch_seed=7):
             for t in (noisy, clean):
                 assert t.data.min() >= 0.0 and t.data.max() <= 1.0
             assert noisy.shape == clean.shape == (4, 3, 32, 32)
@@ -173,9 +193,9 @@ class TestBatchIter:
     def test_epoch_sigma_multiset_matches_manifest(self, corpus8):
         clean_dir, _ = corpus8
         manifest = build_manifest(clean_dir, [0, 10, 25, 40], base_seed=4, split_ratio=1.0)
-        seen = np.concatenate([s for _, _, s in batch_iter(manifest, "train", 3, epoch_seed=9)])
+        seen = [r.sigma for rows, _, _ in epoch_batches(manifest, "train", 3, 9) for r in rows]
         expected = sorted(r.sigma for r in manifest.split_rows("train"))
-        assert sorted(seen.tolist()) == expected
+        assert sorted(seen) == expected
 
     def test_mixed_dimensions_rejected(self, tmp_path):
         clean = tmp_path / "clean"
@@ -183,7 +203,7 @@ class TestBatchIter:
         write_corpus(clean, 2, size=32, tag="t")
         manifest = build_manifest(clean, [25], base_seed=1, split_ratio=1.0)
         with pytest.raises(ValueError, match="mixed dimensions"):
-            for _ in batch_iter(manifest, "train", 4, epoch_seed=1):
+            for _ in epoch_batches(manifest, "train", 4, epoch_seed=1):
                 pass
 
     def test_batch_size_validated(self, corpus8):
@@ -196,24 +216,24 @@ class TestBatchIter:
         clean_dir, _ = corpus8
         manifest = build_manifest(clean_dir, [25], base_seed=1, split_ratio=1.0)
         with pytest.raises(ValueError, match="empty"):
-            list(batch_iter(manifest, "test", 2, epoch_seed=1))
+            list(epoch_batches(manifest, "test", 2, epoch_seed=1))
 
     def test_cache_is_used(self, corpus8):
         clean_dir, _ = corpus8
         manifest = build_manifest(clean_dir, [25], base_seed=1, split_ratio=1.0)
         cache = {}
-        list(batch_iter(manifest, "train", 4, epoch_seed=1, cache=cache))
+        list(epoch_batches(manifest, "train", 4, epoch_seed=1, cache=cache))
         assert len(cache) == 8
-        noisy, clean, sigmas = materialize_batch(manifest, manifest.rows[:2], cache=cache)
+        noisy, clean = materialize_batch(manifest, manifest.rows[:2], cache)
         assert noisy.shape == (2, 3, 32, 32)
 
     def test_warm_cache_batch_matches_cold_without_corrupting(self, corpus8, monkeypatch):
         clean_dir, _ = corpus8
         manifest = build_manifest(clean_dir, [10, 25, 50], base_seed=3, split_ratio=1.0)
         rows = manifest.rows[:5]
-        cold = materialize_batch(manifest, rows)
+        cold = materialize_batch(manifest, rows, {})
         cache = {}
-        materialize_batch(manifest, rows, cache=cache)
+        materialize_batch(manifest, rows, cache)
         calls = []
         counted = data.corrupt
 
@@ -222,9 +242,7 @@ class TestBatchIter:
             return counted(*args, **kwargs)
 
         monkeypatch.setattr(data, "corrupt", counting_corrupt)
-        warm = materialize_batch(manifest, rows, cache=cache)
+        warm = materialize_batch(manifest, rows, cache)
         assert calls == []
-        (cold_noisy, cold_clean, cold_sigmas), (noisy, clean, sigmas) = cold, warm
-        for c, w in [(cold_noisy.data, noisy.data), (cold_clean.data, clean.data),
-                     (cold_sigmas, sigmas)]:
-            assert c.dtype == w.dtype and np.array_equal(c, w)
+        for c, w in zip(cold, warm):
+            assert c.dtype == w.dtype and np.array_equal(c.data, w.data)

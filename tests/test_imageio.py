@@ -6,7 +6,7 @@ import pytest
 
 from irunet import rng
 from irunet.imageio import (ImageFormatError, PNG_SIGNATURE, load_image, quantize,
-                            save_image, tensor_to_image, to_batch, to_tensor)
+                            save_image, tensor_to_image, to_batch)
 
 from conftest import synth_image
 
@@ -301,8 +301,8 @@ class TestIngestion:
         img = synth_image(11, size=96)
         path = tmp_path / "a.png"
         save_image(img, path)
-        t = to_tensor(load_image(path))
-        assert t.shape == (3, 96, 96)
+        t = to_batch([load_image(path)])
+        assert t.shape == (1, 3, 96, 96)  # one [3,H,W] image, batched
         assert t.data.min() >= 0.0 and t.data.max() <= 1.0
 
     def test_to_batch_stacks(self):
@@ -315,13 +315,20 @@ class TestIngestion:
         with pytest.raises(ValueError, match="mixed"):
             to_batch([random_rgb(0, 8, 8), random_rgb(1, 8, 9)])
 
+    @pytest.mark.parametrize("img", [np.full((4, 4, 3), 0.5), np.zeros((4, 4, 3), np.uint16),
+                                     np.zeros((4, 4), np.uint8), np.zeros((4, 4, 4), np.uint8)],
+                             ids=["float", "uint16", "gray", "rgba"])
+    def test_to_batch_rejects_non_uint8_rgb(self, img):
+        with pytest.raises(ValueError, match="uint8 \\[H,W,3\\]"):
+            to_batch([img])
+
     def test_quantize_round_half_away(self):
         vals = np.array([0.0, 0.5 / 255.0, 1.5 / 255.0, 1.0, 2.0, -1.0])
         assert np.array_equal(quantize(vals), [0, 1, 2, 255, 255, 0])
 
     def test_quantize_inverts_ingestion(self):
         img = random_rgb(8, 8, 8)
-        t = to_tensor(img)
+        t = to_batch([img])
         assert np.array_equal(tensor_to_image(t), img)
 
     def test_tensor_round_trip_through_files(self, tmp_path):

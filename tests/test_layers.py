@@ -64,6 +64,13 @@ class TestConv2d:
         with pytest.raises(ValueError, match="channel"):
             conv2d(rand64(2, (1, 2, 8, 8)), spec, lp)
 
+    def test_bias_shape_mismatch_rejected(self):
+        # a (1,) bias would otherwise broadcast over all four output channels
+        spec = ConvSpec(3, 4, kernel=3)
+        lp = make_layer(spec, init_params(spec, 0, dtype=np.float64).weight.data, bias=[0.5])
+        with pytest.raises(ValueError, match=r"bias shape \(1,\) does not match spec \(4,\)"):
+            conv2d(rand64(2, (1, 3, 8, 8)), spec, lp)
+
     def test_valid_padding_too_small_rejected(self):
         spec = ConvSpec(1, 1, kernel=5, padding="valid")
         lp = init_params(spec, 0, dtype=np.float64)
@@ -581,6 +588,12 @@ class TestTransposedConv2d:
         lp = init_params(spec, 1, dtype=np.float64)
         with pytest.raises(ValueError, match="channel"):
             transposed_conv2d(rand64(7, (1, 3, 4, 4)), spec, lp)
+
+    def test_bias_shape_mismatch_rejected(self):
+        spec = ConvSpec(4, 2, kernel=2, stride=2, transposed=True)
+        lp = make_layer(spec, init_params(spec, 1, dtype=np.float64).weight.data, bias=[0.5])
+        with pytest.raises(ValueError, match=r"bias shape \(1,\) does not match spec \(2,\)"):
+            transposed_conv2d(rand64(7, (1, 4, 4, 4)), spec, lp)
 
     def test_adjoint_identity_brute_force(self):
         # <conv(x), y> == <x, tconv(y)> on random geometry up to 4x4, 100 trials

@@ -5,7 +5,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from irunet import metrics, rng
-from irunet.data import build_manifest
+from irunet.data import DatasetManifest, ManifestRow, build_manifest
 from irunet.metrics import (MetricReport, ImageScore, evaluate_model, mae_loss,
                             psnr, ssim)
 from irunet.noise import NoiseSpec, corrupt
@@ -220,13 +220,19 @@ class TestMetricReport:
         assert lines[2].startswith("ALL\t1\tinf")
 
 
+@pytest.fixture
+def identity_forward(monkeypatch):
+    """Make evaluate_model's forward pass the identity, for pipeline checks."""
+    monkeypatch.setattr(metrics, "forward", lambda x, config, params: x)
+
+
+@pytest.mark.usefixtures("identity_forward")
 class TestEvaluateModel:
     def test_identity_stub_on_sigma_zero(self, corpus8):
         # sigma=0 rows through an identity denoiser: PSNR inf, SSIM 1
         clean_dir, _ = corpus8
         manifest = build_manifest(clean_dir, [0], base_seed=6, split_ratio=1.0)
-        report = evaluate_model(None, None, manifest, "train",
-                                denoiser=lambda x: x)
+        report = evaluate_model(None, None, manifest, "train")
         assert all(math.isinf(s.psnr_db) for s in report.scores)
         assert all(s.ssim == pytest.approx(1.0, abs=1e-12) for s in report.scores)
         assert all(s.mae == 0.0 for s in report.scores)
@@ -234,14 +240,14 @@ class TestEvaluateModel:
     def test_group_keys_match_manifest(self, corpus8):
         clean_dir, _ = corpus8
         manifest = build_manifest(clean_dir, [10, 25], base_seed=6, split_ratio=1.0)
-        report = evaluate_model(None, None, manifest, "train", denoiser=lambda x: x)
+        report = evaluate_model(None, None, manifest, "train")
         keys = {r[0] for r in report.group_means()}
         assert keys == {"10", "25", "ALL"}
 
     def test_overall_mean_recomputation(self, corpus8):
         clean_dir, _ = corpus8
         manifest = build_manifest(clean_dir, [15], base_seed=6, split_ratio=1.0)
-        report = evaluate_model(None, None, manifest, "train", denoiser=lambda x: x)
+        report = evaluate_model(None, None, manifest, "train")
         by_hand = float(np.mean([s.psnr_db for s in report.scores]))
         assert report.group_means()[-1][2] == pytest.approx(by_hand)
 
@@ -249,4 +255,14 @@ class TestEvaluateModel:
         clean_dir, _ = corpus8
         manifest = build_manifest(clean_dir, [15], base_seed=6, split_ratio=1.0)
         with pytest.raises(ValueError, match="empty"):
-            evaluate_model(None, None, manifest, "test", denoiser=lambda x: x)
+            evaluate_model(None, None, manifest, "test")
+
+    def test_missing_clean_files_listed_once_each(self, corpus8):
+        clean_dir, names = corpus8
+        manifest = DatasetManifest([ManifestRow(names[0], 10, 1, "train"),
+                                    ManifestRow(names[1], 10, 2, "train"),
+                                    ManifestRow(names[0], 25, 3, "train")], root=str(clean_dir))
+        (clean_dir / names[0]).unlink()
+        with pytest.raises(FileNotFoundError) as err:
+            evaluate_model(None, None, manifest, "train")
+        assert str(err.value) == f"missing clean files:\n  {clean_dir / names[0]}"

@@ -18,7 +18,7 @@ class TestNoiseSpec:
             NoiseSpec(sigma=-0.1, seed=1)
 
     def test_mean_fixed_at_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             NoiseSpec(sigma=10.0, seed=1, mean=0.5)
 
 

@@ -17,9 +17,8 @@ def single_param_store(values, dtype=np.float64):
 
 
 def set_grads(store, weight_grad, bias_grad=0.0):
-    for lp in store.layers():
-        lp.weight.grad = np.full_like(lp.weight.data, weight_grad)
-        lp.bias.grad = np.full_like(lp.bias.data, bias_grad)
+    for name, t in store.named_tensors().items():
+        t.grad = np.full_like(t.data, bias_grad if name.endswith(".bias") else weight_grad)
 
 
 def test_zero_gradient_leaves_parameters_unchanged():

@@ -199,8 +199,11 @@ class TestGradcheckHarness:
         assert names == {"inception_block", "inception_reduction_block"}
         assert all(r.passed for r in results)
 
-    def test_fault_injection_reported_as_failure(self):
-        results = gradcheck.run("layer", fault_scale=1.01)
+    def test_fault_injection_reported_as_failure(self, monkeypatch):
+        oracle = gradcheck._finite_difference
+        monkeypatch.setattr(gradcheck, "_finite_difference", lambda loss_fn, targets: {
+            k: g * 1.01 for k, g in oracle(loss_fn, targets).items()})
+        results = gradcheck.run("layer")
         assert all(not r.passed for r in results)
 
     def test_per_parameter_group_errors_reported(self):
