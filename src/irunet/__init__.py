@@ -13,7 +13,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint, save_
 from .noise import NoiseSpec, corrupt
 from .data import DatasetManifest, ManifestRow, build_manifest
 from .imageio import ImageFormatError, load_image, quantize, save_image, to_batch
-from .metrics import MetricReport, evaluate, evaluate_model, mae_loss, psnr, ssim
+from .metrics import MetricReport, evaluate_model, mae_loss, psnr, ssim
 from .optim import AdamState, adam_step
 from .train import NonFiniteLossError, TrainConfig, TrainResult, train
 
@@ -28,7 +28,7 @@ __all__ = [
     "NoiseSpec", "corrupt",
     "DatasetManifest", "ManifestRow", "build_manifest",
     "ImageFormatError", "load_image", "quantize", "save_image", "to_batch",
-    "MetricReport", "evaluate", "evaluate_model", "mae_loss", "psnr", "ssim",
+    "MetricReport", "evaluate_model", "mae_loss", "psnr", "ssim",
     "AdamState", "adam_step",
     "NonFiniteLossError", "TrainConfig", "TrainResult", "train",
     "__version__",

@@ -129,7 +129,10 @@ class _Reader:
         shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
         count = math.prod(shape)  # exact: np.prod wraps at 2**63
         payload = self.take(4 * count)
-        data = np.frombuffer(payload, dtype="<f4", count=count).reshape(shape)
+        try:
+            data = np.frombuffer(payload, dtype="<f4", count=count).reshape(shape)
+        except ValueError as e:  # a rank past numpy's limit, or zero-sized dims overflowing
+            raise CheckpointError(f"{self.path}: tensor {name!r}: {e}") from None
         return name, data.astype(np.float32)
 
     def remaining(self) -> int:
@@ -188,6 +191,26 @@ class LoadedCheckpoint:
     state: AdamState | None
 
 
+def _read_section(r: _Reader, what: str, shapes: dict[str, tuple[int, ...]]
+                  ) -> dict[str, np.ndarray]:
+    """Read a count, then exactly the tensors `shapes` names, each once, in its shape."""
+    out: dict[str, np.ndarray] = {}
+    for _ in range(r.u32()):
+        name, data = r.tensor()
+        if name in out:
+            raise CheckpointError(f"{r.path}: duplicate {what} {name!r}")
+        if name not in shapes:
+            raise CheckpointError(f"{r.path}: unexpected {what} {name!r} for this config")
+        if data.shape != shapes[name]:
+            raise CheckpointError(f"{r.path}: {what} {name!r} has shape {data.shape}, "
+                                  f"config requires {shapes[name]}")
+        out[name] = data
+    missing = sorted(set(shapes) - set(out))
+    if missing:
+        raise CheckpointError(f"{r.path}: missing {what}s {missing}")
+    return out
+
+
 def load_checkpoint(path) -> LoadedCheckpoint:
     """Parse and validate a checkpoint (model or training flavor)."""
     with open(path, "rb") as f:
@@ -216,29 +239,15 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         stored[name] = r.i64()
     config = _config_from_fields(stored, path)
 
-    expected = {}
-    for lname, spec in layer_specs(config):
-        expected[f"{lname}.weight"] = (spec.weight_shape, lname, spec, "weight")
-        expected[f"{lname}.bias"] = (spec.bias_shape, lname, spec, "bias")
-
-    loaded: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
-        name, data = r.tensor()
-        if name in loaded:
-            raise CheckpointError(f"{path}: duplicate parameter {name!r}")
-        if name not in expected:
-            raise CheckpointError(f"{path}: unexpected parameter {name!r} for this config")
-        shape = expected[name][0]
-        if tuple(data.shape) != tuple(shape):
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {data.shape}, config requires {shape}")
-        loaded[name] = data
-    missing = sorted(set(expected) - set(loaded))
-    if missing:
-        raise CheckpointError(f"{path}: missing parameters {missing}")
+    specs = layer_specs(config)
+    shapes = {}
+    for lname, spec in specs:
+        shapes[f"{lname}.weight"] = spec.weight_shape
+        shapes[f"{lname}.bias"] = spec.bias_shape
+    loaded = _read_section(r, "parameter", shapes)
 
     params = ParamStore()
-    for lname, spec in layer_specs(config):
+    for lname, spec in specs:
         params.add(LayerParams(
             name=lname, spec=spec,
             weight=Tensor(loaded[f"{lname}.weight"], requires_grad=True),
@@ -248,26 +257,10 @@ def load_checkpoint(path) -> LoadedCheckpoint:
     state: AdamState | None = None
     if r.remaining() > 0:
         step = r.u64()
-        m: dict[str, np.ndarray] = {}
-        v: dict[str, np.ndarray] = {}
-        for _ in range(r.u32()):
-            name, data = r.tensor()
-            if name.endswith(".m"):
-                target, base = m, name[:-2]
-            elif name.endswith(".v"):
-                target, base = v, name[:-2]
-            else:
-                raise CheckpointError(f"{path}: unexpected optimizer tensor {name!r}")
-            if base not in expected:
-                raise CheckpointError(f"{path}: optimizer tensor {name!r} matches no parameter")
-            if tuple(data.shape) != tuple(expected[base][0]):
-                raise CheckpointError(f"{path}: optimizer tensor {name!r} shape mismatch")
-            if base in target:
-                raise CheckpointError(f"{path}: duplicate optimizer tensor {name!r}")
-            target[base] = data
-        if set(m) != set(expected) or set(v) != set(expected):
-            raise CheckpointError(f"{path}: incomplete optimizer state")
-        state = AdamState(m=m, v=v, t=step)
+        moments = _read_section(r, "optimizer tensor", {
+            f"{name}.{kind}": shape for name, shape in shapes.items() for kind in "mv"})
+        state = AdamState(m={name: moments[f"{name}.m"] for name in shapes},
+                          v={name: moments[f"{name}.v"] for name in shapes}, t=step)
     if r.remaining() != 0:
         raise CheckpointError(f"{path}: {r.remaining()} trailing bytes after payload")
     return LoadedCheckpoint(config=config, params=params, state=state)

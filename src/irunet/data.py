@@ -122,7 +122,8 @@ class DatasetManifest:
 
 def list_images(clean_dir) -> list[str]:
     names = sorted(n for n in os.listdir(clean_dir)
-                   if n.lower().endswith(IMAGE_EXTENSIONS))
+                   if n.lower().endswith(IMAGE_EXTENSIONS)
+                   and os.path.isfile(os.path.join(clean_dir, n)))
     return names
 
 

@@ -181,27 +181,22 @@ def check_blocks(seed: int = 0) -> list[CheckResult]:
     config = ModelConfig(input_channels=3, base_width=4, stage_widths=(6, 6, 6, 6),
                          branch_width=2)
 
-    def make_inception(case_seed: int):
-        params = build_params(config, case_seed, dtype=np.float64)
-        _randomize_biases(params, rng.hash64(case_seed, "bias"))
-        x = _random_tensor(rng.hash64(case_seed, "x"), (1, 6, 8, 8))
-        targets = {"x": x}
-        targets.update({k: v for k, v in params.named_tensors().items()
-                        if k.startswith("enc1.inc")})
-        return (lambda: inception_block(x, params, "enc1.inc")), targets
-
-    def make_reduction(case_seed: int):
-        params = build_params(config, case_seed, dtype=np.float64)
-        _randomize_biases(params, rng.hash64(case_seed, "bias"))
-        x = _random_tensor(rng.hash64(case_seed, "x"), (1, 4, 8, 8))
-        targets = {"x": x}
-        targets.update({k: v for k, v in params.named_tensors().items()
-                        if k.startswith("enc1.red")})
-        return (lambda: inception_reduction_block(x, params, "enc1.red")), targets
+    def maker(block: Callable, prefix: str, in_shape):
+        def make(case_seed: int):
+            params = build_params(config, case_seed, dtype=np.float64)
+            _randomize_biases(params, rng.hash64(case_seed, "bias"))
+            x = _random_tensor(rng.hash64(case_seed, "x"), in_shape)
+            targets = {"x": x}
+            targets.update({k: v for k, v in params.named_tensors().items()
+                            if k.startswith(prefix)})
+            return (lambda: block(x, params, prefix)), targets
+        return make
 
     return [
-        _generic_case("inception_block", make_inception, LAYER_TOL, seed),
-        _generic_case("inception_reduction_block", make_reduction, LAYER_TOL, seed),
+        _generic_case("inception_block",
+                      maker(inception_block, "enc1.inc", (1, 6, 8, 8)), LAYER_TOL, seed),
+        _generic_case("inception_reduction_block",
+                      maker(inception_reduction_block, "enc1.red", (1, 4, 8, 8)), LAYER_TOL, seed),
     ]
 
 

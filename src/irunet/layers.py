@@ -442,11 +442,11 @@ def _conv2d_raw(xq: np.ndarray, weight: np.ndarray, plan: _Plan) -> np.ndarray:
     return np.ascontiguousarray(y.reshape(n, out_c, plan.out_h, plan.wq)[..., :plan.out_w])
 
 
-def _conv2d_grad_w(xq: np.ndarray, gp: np.ndarray, plan: _Plan, kernel) -> np.ndarray:
+def _conv2d_grad_w(xq: np.ndarray, gp: np.ndarray, plan: _Plan) -> np.ndarray:
     """Gradient of the conv output w.r.t. weight, from phase maps xq and pitched gradient gp."""
     c = xq.shape[2]
     out_c = gp.shape[1]
-    kh, kw = kernel
+    kh, kw = plan.kernel
     gp = gp[..., plan.lead:plan.lead + plan.length]
     if plan.stacked:
         gw = np.zeros((out_c, kh * kw * c), dtype=xq.dtype)
@@ -580,7 +580,7 @@ def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(_conv2d_grad_x(gp, weight.data, x.shape, plan), owned=True)
         if weight.requires_grad:
-            weight.accumulate_grad(_conv2d_grad_w(maps.get(), gp, plan, spec.kernel), owned=True)
+            weight.accumulate_grad(_conv2d_grad_w(maps.get(), gp, plan), owned=True)
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)), owned=True)
     return Tensor._make(y, (x, weight, bias), backward)
@@ -606,7 +606,7 @@ def transposed_conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
         if x.requires_grad:
             x.accumulate_grad(_conv2d_raw(gq, weight.data, plan), owned=True)
         if weight.requires_grad:
-            gw = _conv2d_grad_w(gq, _pitched(x.data, plan), plan, spec.kernel)
+            gw = _conv2d_grad_w(gq, _pitched(x.data, plan), plan)
             weight.accumulate_grad(gw, owned=True)
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)), owned=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import checkpoint, imageio
+from . import imageio
 from .data import DatasetManifest
 from .model import forward
 from .noise import NoiseSpec, corrupt
@@ -194,11 +194,3 @@ def evaluate_model(params, config, manifest: DatasetManifest, split: str,
                 restored.astype(np.float64) - clean.astype(np.float64)))) / 255.0,
         ))
     return report
-
-
-def evaluate(checkpoint_path, manifest: DatasetManifest, split: str,
-             unit_scale_psnr: bool = False) -> MetricReport:
-    """Load a checkpoint and score it on one split of the manifest."""
-    loaded = checkpoint.load_checkpoint(checkpoint_path)
-    return evaluate_model(loaded.params, loaded.config, manifest, split,
-                          unit_scale_psnr=unit_scale_psnr)

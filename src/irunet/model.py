@@ -100,9 +100,6 @@ class ParamStore:
             out.update(lp.tensors())
         return out
 
-    def count(self) -> int:
-        return sum(t.size for t in self.named_tensors().values())
-
     def zero_grad(self) -> None:
         for t in self.named_tensors().values():
             t.zero_grad()

@@ -9,9 +9,10 @@ into the leaves' `.grad` and frees each interior node as soon as its
 backward has run. The graph is per-forward-pass: one backward() consumes it,
 and a second backward() through it raises RuntimeError.
 
-Shape discipline is strict: binary ops require exactly equal shapes, the
-only broadcasting allowed is a Python scalar against a tensor. Image data
-uses the batch x channels x height x width layout throughout.
+Shape discipline is strict: the binary ops (+, -, *) take Tensor operands
+only, of exactly the same shape and dtype; there is no broadcasting, not
+even of a Python scalar. Image data uses the batch x channels x height x
+width layout throughout.
 """
 
 from __future__ import annotations
@@ -150,86 +151,46 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _binary_operand(self, other) -> "Tensor | float":
-        if isinstance(other, Tensor):
-            if other.shape != self.shape:
-                raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-            if other.dtype != self.dtype:
-                raise ValueError(f"dtype mismatch: {self.dtype} vs {other.dtype}")
-            return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return float(other)
-        return NotImplemented
+    def _binary_operand(self, other) -> "Tensor":
+        if not isinstance(other, Tensor):
+            raise TypeError(f"Tensor ops take Tensor operands, got {type(other).__name__}")
+        if other.shape != self.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        if other.dtype != self.dtype:
+            raise ValueError(f"dtype mismatch: {self.dtype} vs {other.dtype}")
+        return other
 
     # ------------------------------------------------------------- elementwise
 
     def __add__(self, other):
         o = self._binary_operand(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if isinstance(o, Tensor):
-            def backward(g: np.ndarray) -> None:
-                if self.requires_grad:
-                    self.accumulate_grad(g)
-                if o.requires_grad:
-                    o.accumulate_grad(g)
-            return Tensor._make(self.data + o.data, (self, o), backward)
 
-        def backward_scalar(g: np.ndarray) -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
                 self.accumulate_grad(g)
-        return Tensor._make(self.data + self.dtype.type(o), (self,), backward_scalar)
-
-    def __radd__(self, other):
-        return self.__add__(other)
+            if o.requires_grad:
+                o.accumulate_grad(g)
+        return Tensor._make(self.data + o.data, (self, o), backward)
 
     def __sub__(self, other):
         o = self._binary_operand(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if isinstance(o, Tensor):
-            def backward(g: np.ndarray) -> None:
-                if self.requires_grad:
-                    self.accumulate_grad(g)
-                if o.requires_grad:
-                    o.accumulate_grad(-g)
-            return Tensor._make(self.data - o.data, (self, o), backward)
 
-        def backward_scalar(g: np.ndarray) -> None:
+        def backward(g: np.ndarray) -> None:
             if self.requires_grad:
                 self.accumulate_grad(g)
-        return Tensor._make(self.data - self.dtype.type(o), (self,), backward_scalar)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+            if o.requires_grad:
+                o.accumulate_grad(-g)
+        return Tensor._make(self.data - o.data, (self, o), backward)
 
     def __mul__(self, other):
         o = self._binary_operand(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if isinstance(o, Tensor):
-            def backward(g: np.ndarray) -> None:
-                if self.requires_grad:
-                    self.accumulate_grad(g * o.data)
-                if o.requires_grad:
-                    o.accumulate_grad(g * self.data)
-            return Tensor._make(self.data * o.data, (self, o), backward)
 
-        c = self.dtype.type(o)
-
-        def backward_scalar(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self.accumulate_grad(g * c)
-        return Tensor._make(self.data * c, (self,), backward_scalar)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self.accumulate_grad(-g)
-        return Tensor._make(-self.data, (self,), backward)
+                self.accumulate_grad(g * o.data)
+            if o.requires_grad:
+                o.accumulate_grad(g * self.data)
+        return Tensor._make(self.data * o.data, (self, o), backward)
 
     def relu(self) -> "Tensor":
         report_relu_input(self.data)

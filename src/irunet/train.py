@@ -73,17 +73,28 @@ def _abort_saving_last_good(what: str, step: int, params: ParamStore, config: Mo
         checkpoint_path=path)
 
 
-def check_resume(state: AdamState | None, max_steps: int, path) -> None:
+def check_resume(start: checkpoint.LoadedCheckpoint, model_config: ModelConfig,
+                 max_steps: int, path) -> None:
     """Reject a checkpoint a run cannot continue from, before anything is written.
 
     It needs optimizer state, and a step no later than max_steps: a run resumed
     past its end would save the checkpoint's state under an earlier step's name.
+    Training runs the checkpoint's architecture, so model_config must equal it.
     """
+    from .config import echo_lines  # config imports this module
+
+    state = start.state
     if state is None:
         raise ValueError(f"{path}: not a training checkpoint (no optimizer state)")
     if max_steps < state.t:
         raise ValueError(f"{path}: checkpoint is at step {state.t}, past max_steps "
                          f"{max_steps}; set max_steps to {state.t} or more")
+    conflicts = [f"{mine} (checkpoint: {stored.partition('=')[2]})"
+                 for mine, stored in zip(echo_lines(model_config), echo_lines(start.config))
+                 if mine != stored]
+    if conflicts:
+        raise ValueError(f"--resume {path}: model config differs from the "
+                         f"checkpoint's: {'; '.join(conflicts)}")
 
 
 def train(model_config: ModelConfig, train_config: TrainConfig,
@@ -93,7 +104,7 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     start = None
     if resume is not None:
         start = checkpoint.load_checkpoint(resume)
-        check_resume(start.state, train_config.max_steps, resume)
+        check_resume(start, model_config, train_config.max_steps, resume)
     return train_from(model_config, train_config, manifest, out_dir, start, log_stream)
 
 

@@ -120,7 +120,7 @@ def test_payload_size_accounting(tmp_path):
     assert path.stat().st_size == expected
 
     loaded = load_checkpoint(path)
-    assert loaded.params.count() == param_count(config)
+    assert sum(t.size for t in loaded.params.named_tensors().values()) == param_count(config)
 
 
 def test_training_checkpoint_round_trip(tmp_path):
@@ -275,3 +275,82 @@ def test_count_past_the_end_is_checkpoint_error_naming_file(tmp_path):
     with pytest.raises(CheckpointError, match="truncated") as err:
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def encode_tensor(name: str, data: np.ndarray) -> bytes:
+    raw = name.encode()
+    return (struct.pack("<H", len(raw)) + raw
+            + struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape) + data.astype("<f4").tobytes())
+
+
+def encode_section(entries) -> bytes:
+    return struct.pack("<I", len(entries)) + b"".join(encode_tensor(n, a) for n, a in entries)
+
+
+SECTION_FAULTS = {  # fault -> (entries -> faulty entries, what the error says)
+    "duplicate": (lambda entries: entries + entries[:1], "duplicate"),
+    "unexpected": (lambda entries: entries + [("bogus", np.zeros(1))], "unexpected"),
+    "wrong shape": (lambda entries: [(entries[0][0], np.zeros(1))] + entries[1:], "has shape"),
+    "missing": (lambda entries: entries[:-1], "missing"),
+}
+
+
+@pytest.mark.parametrize("section, fault", [
+    *[(section, fault) for section in ("parameter", "optimizer tensor")
+      for fault in SECTION_FAULTS],
+    (None, "trailing bytes"),
+])
+def test_malformed_section_is_checkpoint_error_naming_file(tmp_path, section, fault):
+    before, _, _ = split_at_param_count(tmp_path)
+    tensors = build_params(CFG, 18).named_tensors()
+    sections = {
+        "parameter": [(name, t.data) for name, t in tensors.items()],
+        "optimizer tensor": [(f"{name}.{kind}", np.full(t.shape, 0.5))
+                             for name, t in tensors.items() for kind in "mv"],
+    }
+    tail, expected = b"\x00" * 3, "3 trailing bytes after payload"
+    if section is not None:
+        make_faulty, expected = SECTION_FAULTS[fault]
+        sections[section] = make_faulty(sections[section])
+        tail = b""
+    path = with_valid_crc(tmp_path, before + encode_section(sections["parameter"])
+                          + struct.pack("<Q", 5) + encode_section(sections["optimizer tensor"])
+                          + tail)
+    with pytest.raises(CheckpointError, match=expected) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert section is None or section in str(err.value)
+
+
+def test_seeded_mutations_load_or_raise_checkpoint_error_naming_file(tmp_path):
+    tiny = ModelConfig(input_channels=3, base_width=2, stage_widths=(2, 2, 2, 2),
+                       branch_width=1)
+    params = build_params(tiny, 19)
+    state = AdamState.initial(params)
+    state.t = 7
+    src = tmp_path / "tiny.ckpt"
+    save_training_checkpoint(params, tiny, state, src)
+    good = src.read_bytes()
+    path = tmp_path / "mutated.ckpt"
+    rejected = []
+    for i in range(200):
+        u = rng.uniform(rng.hash64("ckpt-fuzz", i), 2)
+        pos = int(u[0] * len(good))
+        if i % 3 == 0:  # truncation
+            buf = good[:pos]
+        elif i % 3 == 1:  # bit flip
+            buf = bytearray(good)
+            buf[pos] ^= 1 << int(u[1] * 8)
+            buf = bytes(buf)
+        else:  # byte insertion
+            buf = good[:pos] + bytes([int(u[1] * 256)]) + good[pos:]
+        if i % 2 and len(buf) >= 4:  # a valid CRC lets the mutation reach the section reader
+            buf = buf[:-4] + struct.pack("<I", zlib.crc32(buf[:-4]) & 0xFFFFFFFF)
+        path.write_bytes(buf)
+        try:
+            load_checkpoint(path)
+        except CheckpointError as e:
+            assert str(e).startswith(f"{path}: "), (i, str(e))
+            rejected.append(str(e))
+    assert len(rejected) > 100
+    assert any("optimizer tensor" in message for message in rejected)

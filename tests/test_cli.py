@@ -77,11 +77,12 @@ class TestCorrupt:
         assert run_cli(["corrupt", "--input", str(tmp_path / "missing"),
                         "--output", str(tmp_path / "o"), "--sigmas", "25"]) == 2
 
-    def test_bad_sigma_list_exits_2(self, tmp_path):
+    def test_bad_sigma_list_exits_2(self, tmp_path, capsys):
         clean = tmp_path / "clean"
         write_corpus(clean, 1, size=16)
         assert run_cli(["corrupt", "--input", str(clean),
                         "--output", str(tmp_path / "o"), "--sigmas", "60"]) == 2
+        assert "sigma values must lie in 0..50, got 60" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -321,6 +322,18 @@ class TestDenoiseEvaluate:
         printed = capsys.readouterr().out
         assert "denoised 3 image(s), skipped 1" in printed
         assert "notes.txt" in printed
+
+    def test_denoise_directory_skips_subdirectory_named_like_an_image(self, tmp_path, trained,
+                                                                      capsys):
+        _, ckpt = trained
+        src_dir = tmp_path / "batch"
+        write_corpus(src_dir, 2, size=32, tag="d")
+        (src_dir / "d0005.png").mkdir()  # sorts between d000.png and d001.png
+        out_dir = tmp_path / "restored"
+        assert run_cli(["denoise", "--checkpoint", str(ckpt),
+                        "--input", str(src_dir), "--output", str(out_dir)]) == 0
+        assert sorted(os.listdir(out_dir)) == ["d000.png", "d001.png"]
+        assert "denoised 2 image(s), skipped 0" in capsys.readouterr().out
 
     def test_denoise_bad_checkpoint_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ckpt"

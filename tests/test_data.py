@@ -40,6 +40,12 @@ class TestBuildManifest:
         with pytest.raises(ValueError, match="no readable images"):
             build_manifest(empty, [25], base_seed=1)
 
+    def test_subdirectory_named_like_an_image_not_listed(self, corpus8):
+        clean_dir, names = corpus8
+        (clean_dir / "sub.png").mkdir()
+        manifest = build_manifest(clean_dir, [25], base_seed=1)
+        assert sorted(r.clean_path for r in manifest.rows) == sorted(names)
+
     def test_sigma_out_of_range_rejected(self, corpus8):
         clean_dir, _ = corpus8
         with pytest.raises(ValueError):

@@ -136,6 +136,16 @@ class TestTrainLoop:
                   resume=str(out / "step000010.ckpt"), log_stream=io.StringIO())
         assert not (tmp_path / "new").exists()
 
+    def test_resume_with_conflicting_model_config_rejected_before_writing(self, tiny_manifest,
+                                                                          tmp_path):
+        out = tmp_path / "run"
+        train(TINY, tconf(max_steps=4), tiny_manifest, out, log_stream=io.StringIO())
+        with pytest.raises(ValueError, match="model config differs") as err:
+            train(ModelConfig(), tconf(), tiny_manifest, tmp_path / "new",
+                  resume=str(out / "step000004.ckpt"), log_stream=io.StringIO())
+        assert "base_width=16 (checkpoint: 2)" in str(err.value)
+        assert not (tmp_path / "new").exists()
+
     def test_previous_step_released_before_next_forward(self, tiny_manifest, tmp_path,
                                                         monkeypatch):
         # reference counting alone must free step N's batch and output: the
