@@ -14,12 +14,12 @@ read from (weight gradient) or add into (input gradient) the same windows.
 The taps sweep the map in cache-sized blocks.
 
 Stride-1 "same" convs with padding up to 2 (3x3 at dilation 1 and 2) share
-one map layout that depends only on their geometry (see _Plan). Inside
-sharing_maps(), which model.forward opens for each pass, consecutive convs
-that read one input array in one layout (an inception block's three
-branches, a reduction block's two) build its maps once in forward and once
-in backward, and the block releases the forward copy after its last sibling
-(release_maps); direct layer calls share nothing.
+one map layout that depends only on their geometry (see _Plan). An
+inception block runs its three branches, and a reduction block its two,
+inside sharing_maps(): consecutive convs there that read one input array in
+one layout build its maps once in forward and once in backward, and leaving
+the block drops the forward copy. A conv outside a block shares nothing and
+keeps no forward copy past its own call.
 
 Taps stay separate matmuls, summed in tap order, instead of one im2col GEMM
 over C*kh*kw. That keeps a dilated kernel bit-identical to the same kernel
@@ -525,48 +525,37 @@ _slot: list[_Maps] | None = None  # inside sharing_maps(): [the last conv's maps
 
 @contextmanager
 def sharing_maps() -> Iterator[None]:
-    """Consecutive convs in the block that read one input array in one layout share its maps.
+    """Consecutive convs in the scope that read one input array in one layout share its maps.
 
-    model.forward runs each pass in one. Maps that another array or layout
-    replaces, that release_maps() releases, or that are left when the block
-    ends, drop their forward copy; backward rebuilds them once, at their first
-    reader.
+    An inception or reduction block runs its sibling branches in one. Maps
+    that another array or layout replaces, or that are left when the scope
+    ends, drop their forward copy, so none outlives the siblings; backward
+    rebuilds them once, at their first reader.
     """
     global _slot
     prev, _slot = _slot, [_Maps(None, None)]
     try:
         yield
     finally:
-        release_maps()
-        _slot = prev
-
-
-def release_maps() -> None:
-    """The last sibling has read the shared maps: drop their forward copy now.
-
-    A block calls this after its last conv on its input, so the copy is freed
-    before the block allocates its concat; backward rebuilds the maps once,
-    at their first reader. Outside sharing_maps() there is nothing to drop.
-    """
-    if _slot is not None:
         _slot[0].xq = None
+        _slot = prev
 
 
 def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     """Strided/dilated 2-D convolution with per-channel bias, and relu if the spec says so."""
-    if _slot is None:
-        with sharing_maps():  # outside a pass, each call shares nothing
-            return conv2d(x, spec, params)
     if spec.transposed:
         raise ValueError("conv2d called with a transposed spec")
     _check_layer_input(x, spec, params)
     weight, bias = params.weight, params.bias
     plan = _plan(x.shape[2], x.shape[3], spec)
-    maps = _slot[0]
+    slot = _slot or [_Maps(None, None)]  # outside sharing_maps(), a slot of its own
+    maps = slot[0]
     if maps.x is not x.data or maps.plan.layout != plan.layout:
         maps.xq = None
-        maps = _slot[0] = _Maps(x.data, plan)
+        maps = slot[0] = _Maps(x.data, plan)
     y = _conv2d_raw(maps.get(), weight.data, plan)
+    if _slot is None:
+        maps.xq = None  # no sibling reads it: backward rebuilds the maps
     y += bias.data[None, :, None, None]
     if spec.relu:
         report_relu_input(y)

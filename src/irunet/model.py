@@ -164,10 +164,10 @@ def _apply(x: Tensor, lp: LayerParams) -> Tensor:
 
 def inception_block(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
     """Three parallel 3x3 branches (one dilated), concat, 1x1 reduce, residual add."""
-    b1 = _apply(x, params[f"{prefix}.b1"])
-    b2 = _apply(x, params[f"{prefix}.b2"])
-    b3 = _apply(x, params[f"{prefix}.b3"])
-    layers.release_maps()  # the last sibling: free x's shared map before the concat
+    with layers.sharing_maps():  # the branches build x's maps once; the concat finds them freed
+        b1 = _apply(x, params[f"{prefix}.b1"])
+        b2 = _apply(x, params[f"{prefix}.b2"])
+        b3 = _apply(x, params[f"{prefix}.b3"])
     merged = concat_channels([b1, b2, b3])
     main = _apply(merged, params[f"{prefix}.reduce"])
     return main + x
@@ -181,9 +181,9 @@ def inception_reduction_block(x: Tensor, params: ParamStore, prefix: str) -> Ten
     """
     if x.shape[2] % 2 or x.shape[3] % 2:
         raise ValueError(f"reduction block needs even spatial extents, got {x.shape}")
-    b1 = _apply(x, params[f"{prefix}.b1"])
-    b2 = _apply(x, params[f"{prefix}.b2"])
-    layers.release_maps()  # the last sibling: free x's shared maps before pooling
+    with layers.sharing_maps():  # the branches build x's maps once; pooling finds them freed
+        b1 = _apply(x, params[f"{prefix}.b1"])
+        b2 = _apply(x, params[f"{prefix}.b2"])
     pooled = avg_pool2d(x)
     merged = concat_channels([b1, b2, pooled])
     main = _apply(merged, params[f"{prefix}.reduce"])
@@ -271,18 +271,17 @@ def forward(x: Tensor, config: ModelConfig, params: ParamStore,
         raise ValueError(
             f"spatial extents {x.shape[2]}x{x.shape[3]} must be divisible by {DOWNSCALE_FACTOR}")
 
-    with layers.sharing_maps():  # sibling convs build their input's maps once
-        cur = _apply(x, params["head"])
-        maps = [cur]  # the skips, and on top the map the decoder stages run on
-        for i in range(1, 5):
-            cur = inception_reduction_block(cur, params, f"enc{i}.red")
-            cur = inception_block(cur, params, f"enc{i}.inc")
-            maps.append(cur)
-        latent = cur
+    cur = _apply(x, params["head"])
+    maps = [cur]  # the skips, and on top the map the decoder stages run on
+    for i in range(1, 5):
+        cur = inception_reduction_block(cur, params, f"enc{i}.red")
+        cur = inception_block(cur, params, f"enc{i}.inc")
+        maps.append(cur)
+    latent = cur
 
-        for i in range(1, 4):
-            maps.append(_decoder_stage(maps, params, f"dec{i}"))
-        z = _full_resolution_stage(maps, config, params)
+    for i in range(1, 4):
+        maps.append(_decoder_stage(maps, params, f"dec{i}"))
+    z = _full_resolution_stage(maps, config, params)
     if return_latent:
         return z, latent
     return z

@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import dataclasses
 import importlib
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -262,7 +264,12 @@ class TestFusedLayers:
 
 
 def compose(x, config, params):
-    """model.forward's network built from the block functions, outside its map-sharing scope."""
+    """model.forward's network built from the block functions, with no conv sharing maps."""
+    with mock.patch.object(layers, "sharing_maps", contextlib.nullcontext):
+        return _compose(x, config, params)
+
+
+def _compose(x, config, params):
     cur = model._apply(x, params["head"])
     skips = [cur]
     for i in range(1, 5):
@@ -276,6 +283,37 @@ def compose(x, config, params):
         cur = model._apply(cur, params[f"dec{i}.merge"])
         cur = inception_block(cur, params, f"dec{i}.inc")
     return model._apply(cur, params["tail"]).sigmoid()
+
+
+class TestBlockScope:
+    """A block called directly shares its input's maps among its own branches."""
+
+    @staticmethod
+    def builds_of_input(monkeypatch, block, x, prefix):
+        # the non-disjoint map builds (3x3 branches) of the block's input, in forward and backward
+        builds = []
+        to_phases = layers._to_phases
+
+        def counting(a, plan):
+            if a is x.data and not plan.disjoint:
+                builds.append(plan.layout)
+            return to_phases(a, plan)
+        monkeypatch.setattr(layers, "_to_phases", counting)
+        out = block(x, build_params(SMALL, 17, dtype=np.float64), prefix)
+        forward_builds = list(builds)
+        builds.clear()
+        out.sum().backward()
+        return forward_builds, builds
+
+    def test_inception_block_builds_its_input_maps_once(self, monkeypatch):
+        x = rand64(41, (2, 6, 8, 8), requires_grad=True)
+        fwd, bwd = self.builds_of_input(monkeypatch, inception_block, x, "enc1.inc")
+        assert len(fwd) == len(bwd) == 1
+
+    def test_reduction_block_builds_its_input_maps_once(self, monkeypatch):
+        x = rand64(42, (2, 4, 8, 8), requires_grad=True)
+        fwd, bwd = self.builds_of_input(monkeypatch, inception_reduction_block, x, "enc1.red")
+        assert len(fwd) == len(bwd) == 1
 
 
 class TestSharedMaps:
