@@ -2,21 +2,51 @@
 
 One file holds architecture, optimizer and corruption settings; command
 line --set overrides win over file values, which win over defaults. The
-keys, their types and their defaults are the fields of ModelConfig and
-TrainConfig. Unknown keys are rejected, and every effective value is echoed
+keys, their types and their defaults are the fields of ModelConfig and of
+TrainConfig, defined here. Unknown keys are rejected, and every effective value is echoed
 into log headers so a run's provenance is always recoverable.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+import math
+from dataclasses import asdict, dataclass, fields
 
 from .model import ModelConfig
-from .train import TrainConfig
 
 
 class ConfigError(ValueError):
     """Bad key, value or file in a run configuration."""
+
+
+@dataclass
+class TrainConfig:
+    """Adam and schedule settings of a training run; every float must be finite."""
+
+    learning_rate: float = 1e-4
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-7
+    batch_size: int = 32
+    max_steps: int = 1000
+    checkpoint_every: int = 200
+    init_seed: int = 1
+    epoch_seed: int = 2
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
+            raise ValueError("beta1 and beta2 must lie in (0, 1)")
+        if self.epsilon <= 0.0 or self.learning_rate <= 0.0:
+            raise ValueError("epsilon and learning_rate must be positive")
+        if self.batch_size < 1 or self.max_steps < 1 or self.checkpoint_every < 1:
+            raise ValueError("batch_size, max_steps and checkpoint_every must be >= 1")
 
 
 def _set(values: dict[str, object], key: str, raw: str) -> None:

@@ -9,6 +9,7 @@ converted.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -144,10 +145,15 @@ def _load_png(buf: bytes, path) -> np.ndarray:
         raise ImageFormatError(f"{path}: missing IHDR")
     if not seen_iend or not idat:
         raise ImageFormatError(f"{path}: missing image data")
+    # one byte past the pixel data shows too much without inflating the rest
+    size = height * (3 * width + 1)
+    inflate = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflate.decompress(idat, min(size + 1, sys.maxsize))  # IHDR sizes can pass 2**63
     except zlib.error as e:
         raise ImageFormatError(f"{path}: corrupt PNG stream ({e})") from e
+    if len(raw) <= size and not inflate.eof:
+        raise ImageFormatError(f"{path}: corrupt PNG stream (incomplete or truncated stream)")
     return _defilter(raw, width, height, path)
 
 

@@ -23,7 +23,7 @@ class AdamState:
 
 
 def adam_step(params, state: AdamState, learning_rate: float,
-              beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-7) -> None:
+              beta1: float, beta2: float, epsilon: float) -> None:
     """One Adam update in place.
 
     t += 1; m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g^2;

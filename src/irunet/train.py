@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checkpoint, rng
+from .config import TrainConfig, echo_lines
 from .data import DatasetManifest, epoch_plan, materialize_batch
 from .metrics import mae_loss
 from .model import ModelConfig, ParamStore, build_params, forward
@@ -30,30 +31,6 @@ class NonFiniteLossError(RuntimeError):
     def __init__(self, message: str, checkpoint_path: str | None = None):
         super().__init__(message)
         self.checkpoint_path = checkpoint_path
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
-    batch_size: int = 32
-    max_steps: int = 1000
-    checkpoint_every: int = 200
-    init_seed: int = 1
-    epoch_seed: int = 2
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.epsilon <= 0.0 or self.learning_rate <= 0.0:
-            raise ValueError("epsilon and learning_rate must be positive")
-        if self.batch_size < 1 or self.max_steps < 1 or self.checkpoint_every < 1:
-            raise ValueError("batch_size, max_steps and checkpoint_every must be >= 1")
 
 
 @dataclass
@@ -81,8 +58,6 @@ def check_resume(start: checkpoint.LoadedCheckpoint, model_config: ModelConfig,
     past its end would save the checkpoint's state under an earlier step's name.
     Training runs the checkpoint's architecture, so model_config must equal it.
     """
-    from .config import echo_lines  # config imports this module
-
     state = start.state
     if state is None:
         raise ValueError(f"{path}: not a training checkpoint (no optimizer state)")

@@ -262,6 +262,14 @@ class TestTrain:
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", ["epsilon=inf", "learning_rate=nan"])
+    def test_non_finite_train_float_exits_2_before_the_log(self, tmp_path, capsys, setting):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        code, out = train_tiny(tmp_path, manifest_path, extra=["--set", setting])
+        assert code == 2
+        assert f"{setting.partition('=')[0]} must be finite" in capsys.readouterr().err
+        assert not (out / "train.log").exists()
+
 
 class TestDenoiseEvaluate:
     @pytest.fixture

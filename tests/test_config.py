@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import fields
 
 import pytest
@@ -55,3 +56,23 @@ def test_default_echo():
         "max_steps=1000", "sigma_high=50", "sigma_low=0", "stage_widths=24,32,48,64",
     ]
 
+
+
+FLOAT_KEYS = [f.name for f in fields(TrainConfig) if isinstance(getattr(TrainConfig(), f.name), float)]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_train_float_rejected(key, raw):
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        TrainConfig(**{key: float(raw)})
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        build_config(TrainConfig, load_run_config(overrides=[f"{key}={raw}"]))
+
+
+def test_train_config_is_one_class_under_every_name():
+    import irunet
+    from irunet import config
+
+    train = importlib.import_module("irunet.train")  # the package's `train` is the function
+    assert irunet.TrainConfig is train.TrainConfig is config.TrainConfig

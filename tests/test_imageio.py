@@ -1,10 +1,13 @@
+import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
 import pytest
 
-from irunet import rng
+from irunet import imageio, rng
 from irunet.imageio import (ImageFormatError, PNG_SIGNATURE, load_image, quantize,
                             save_image, tensor_to_image, to_batch)
 
@@ -260,6 +263,65 @@ class TestDefilterOracle:
         path = tmp_path / "len.png"
         path.write_bytes(make_png(3, 4, 2, raw))
         with pytest.raises(ImageFormatError, match="wrong length"):
+            load_image(path)
+
+
+# a 16x16 PNG whose IDAT inflates to 64 MiB of zeros, loaded in a fresh
+# process; prints the growth of its peak RSS in KiB across the load
+INFLATE_BOMB_RSS = """
+import resource
+import struct
+import zlib
+
+from irunet.imageio import ImageFormatError, PNG_SIGNATURE, _load_png
+
+
+def chunk(ctype, data):
+    return (struct.pack(">I", len(data)) + ctype + data
+            + struct.pack(">I", zlib.crc32(ctype + data) & 0xFFFFFFFF))
+
+
+deflate, block = zlib.compressobj(9), bytes(1 << 20)
+idat = b"".join(deflate.compress(block) for _ in range(64)) + deflate.flush()
+buf = (PNG_SIGNATURE + chunk(b"IHDR", struct.pack(">IIBBBBB", 16, 16, 8, 2, 0, 0, 0))
+       + chunk(b"IDAT", idat) + chunk(b"IEND", b""))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+try:
+    _load_png(buf, "bomb.png")
+except ImageFormatError as e:
+    assert "bomb.png: PNG pixel data has wrong length" in str(e), e
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+class TestInflateBound:
+    """The PNG reader inflates at most one byte past the pixel data IHDR declares."""
+
+    def test_oversized_stream_not_inflated_whole(self):
+        pytest.importorskip("resource")
+        src = os.path.dirname(os.path.dirname(imageio.__file__))
+        out = subprocess.run([sys.executable, "-c", INFLATE_BOMB_RSS],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert int(out.stdout) < 8 * 1024  # KiB, against 64 MiB inflated
+
+    @pytest.mark.parametrize("case, message", [
+        ("long", "PNG pixel data has wrong length"),
+        ("short", "PNG pixel data has wrong length"),
+        ("truncated", "corrupt PNG stream"), ("bad checksum", "corrupt PNG stream")])
+    def test_each_stream_fault_keeps_its_error(self, tmp_path, case, message):
+        raw = encode_filtered(random_rgb(53, 4, 3), [0, 1, 2, 3])
+        stream = zlib.compress(raw + bytes(100) if case == "long" else
+                               raw[:-1] if case == "short" else raw)
+        if case == "truncated":
+            stream = stream[:-5]
+        elif case == "bad checksum":
+            stream = stream[:-1] + bytes([stream[-1] ^ 1])
+        path = tmp_path / "s.png"
+        path.write_bytes(PNG_SIGNATURE
+                         + png_chunk(b"IHDR", struct.pack(">IIBBBBB", 3, 4, 8, 2, 0, 0, 0))
+                         + png_chunk(b"IDAT", stream) + png_chunk(b"IEND", b""))
+        with pytest.raises(ImageFormatError, match=f"s.png: {message}"):
             load_image(path)
 
 

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from irunet import rng
+from irunet.config import TrainConfig
 from irunet.layers import ConvSpec, init_params
 from irunet.model import ModelConfig, ParamStore, build_params
 from irunet.optim import AdamState, adam_step
+
+# beta1, beta2 and epsilon as a default training run passes them
+ADAM = (TrainConfig().beta1, TrainConfig().beta2, TrainConfig().epsilon)
 
 
 def single_param_store(values, dtype=np.float64):
@@ -26,7 +30,7 @@ def test_zero_gradient_leaves_parameters_unchanged():
     before = lp.weight.data.copy()
     set_grads(store, 0.0, 0.0)
     state = AdamState.initial(store)
-    adam_step(store, state, learning_rate=1e-4)
+    adam_step(store, state, 1e-4, *ADAM)
     assert np.array_equal(lp.weight.data, before)
     assert state.t == 1
 
@@ -47,7 +51,7 @@ def test_first_step_approximates_sign_for_large_gradient():
     for g in (5.0, -5.0):
         store, lp = single_param_store([0.0])
         set_grads(store, g)
-        adam_step(store, AdamState.initial(store), lr)
+        adam_step(store, AdamState.initial(store), lr, *ADAM)
         assert lp.weight.data.reshape(()) == pytest.approx(-lr * np.sign(g), rel=1e-6)
 
 
@@ -60,7 +64,7 @@ def test_two_steps_descend_quadratic():
         w = float(lp.weight.data.reshape(()))
         losses.append(0.5 * w * w)
         set_grads(store, w)
-        adam_step(store, state, learning_rate=0.05)
+        adam_step(store, state, 0.05, *ADAM)
     w = float(lp.weight.data.reshape(()))
     losses.append(0.5 * w * w)
     assert losses[2] < losses[1] < losses[0]
@@ -71,7 +75,7 @@ def test_missing_gradient_rejected():
     lp.weight.grad = np.zeros_like(lp.weight.data)
     lp.bias.grad = None
     with pytest.raises(ValueError, match="missing gradient"):
-        adam_step(store, AdamState.initial(store), 1e-4)
+        adam_step(store, AdamState.initial(store), 1e-4, *ADAM)
 
 
 def test_matches_scalar_reference_over_100_steps():
