@@ -3,8 +3,9 @@
 One file holds architecture, optimizer and corruption settings; command
 line --set overrides win over file values, which win over defaults. The
 keys, their types and their defaults are the fields of ModelConfig and of
-TrainConfig, defined here. Unknown keys are rejected, and every effective value is echoed
-into log headers so a run's provenance is always recoverable.
+TrainConfig, defined here. Unknown keys are rejected, and every effective
+value is echoed into log headers so a run's provenance is always
+recoverable.
 """
 
 from __future__ import annotations

@@ -145,11 +145,12 @@ def _load_png(buf: bytes, path) -> np.ndarray:
         raise ImageFormatError(f"{path}: missing IHDR")
     if not seen_iend or not idat:
         raise ImageFormatError(f"{path}: missing image data")
-    # one byte past the pixel data shows too much without inflating the rest
+    # one byte past the pixel data shows too much without inflating the rest;
+    # IHDR sizes can pass the largest length zlib takes
     size = height * (3 * width + 1)
     inflate = zlib.decompressobj()
     try:
-        raw = inflate.decompress(idat, min(size + 1, sys.maxsize))  # IHDR sizes can pass 2**63
+        raw = inflate.decompress(idat, min(size + 1, sys.maxsize))
     except zlib.error as e:
         raise ImageFormatError(f"{path}: corrupt PNG stream ({e})") from e
     if len(raw) <= size and not inflate.eof:

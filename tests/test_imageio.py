@@ -325,6 +325,16 @@ class TestInflateBound:
             load_image(path)
 
 
+    def test_header_past_the_inflate_limit_is_wrong_length(self, tmp_path):
+        # height*(3*width+1) passes 2**63, the largest length zlib can be asked for
+        ihdr = struct.pack(">IIBBBBB", 2**32 - 1, 2**32 - 1, 8, 2, 0, 0, 0)
+        path = tmp_path / "huge.png"
+        path.write_bytes(PNG_SIGNATURE + png_chunk(b"IHDR", ihdr)
+                         + png_chunk(b"IDAT", zlib.compress(bytes(8))) + png_chunk(b"IEND", b""))
+        with pytest.raises(ImageFormatError, match="huge.png: PNG pixel data has wrong length"):
+            load_image(path)
+
+
 class TestPpmDecoding:
     def test_comment_in_header(self, tmp_path):
         img = random_rgb(7, 4, 4)
