@@ -57,8 +57,8 @@ def test_default_echo():
     ]
 
 
-
-FLOAT_KEYS = [f.name for f in fields(TrainConfig) if isinstance(getattr(TrainConfig(), f.name), float)]
+FLOAT_KEYS = [f.name for f in fields(TrainConfig)
+              if isinstance(getattr(TrainConfig(), f.name), float)]
 
 
 @pytest.mark.parametrize("key", FLOAT_KEYS)

@@ -263,13 +263,9 @@ class TestFusedLayers:
         assert sorted(bwd_calls) == sorted(names)
 
 
+@mock.patch.object(layers, "sharing_maps", contextlib.nullcontext)
 def compose(x, config, params):
     """model.forward's network built from the block functions, with no conv sharing maps."""
-    with mock.patch.object(layers, "sharing_maps", contextlib.nullcontext):
-        return _compose(x, config, params)
-
-
-def _compose(x, config, params):
     cur = model._apply(x, params["head"])
     skips = [cur]
     for i in range(1, 5):
