@@ -17,7 +17,7 @@ from .checkpoint import load_checkpoint
 from .config import build_config, echo_lines, load_run_config
 from .data import (DatasetManifest, IMAGE_EXTENSIONS, build_manifest, list_images)
 from .metrics import evaluate_model
-from .model import DOWNSCALE_FACTOR, ModelConfig, forward, layer_specs, param_count
+from .model import ModelConfig, check_image_size, forward, layer_specs, param_count
 from .noise import NoiseSpec, corrupt
 from .tensor import no_grad
 from .train import NonFiniteLossError, TrainConfig, check_resume, train_from
@@ -102,11 +102,7 @@ def cmd_train(args) -> int:
 
 def _denoise_one(params, config, in_path, out_path) -> float:
     img = imageio.load_image(in_path)
-    h, w = img.shape[0], img.shape[1]
-    if h % DOWNSCALE_FACTOR or w % DOWNSCALE_FACTOR:
-        raise UsageError(
-            f"{in_path}: dimensions {w}x{h} not divisible by {DOWNSCALE_FACTOR}; "
-            f"pad the image to a multiple of {DOWNSCALE_FACTOR} first")
+    check_image_size(img.shape[0], img.shape[1], in_path)
     x = imageio.to_batch([img])
     start = time.perf_counter()
     with no_grad():

@@ -12,6 +12,7 @@ import os
 from dataclasses import dataclass
 
 from . import imageio, rng
+from .model import check_image_size
 from .noise import SIGMA_MAX, NoiseSpec, corrupt
 
 MANIFEST_HEADER = "clean_path,sigma,seed,split"
@@ -194,6 +195,7 @@ def materialize_batch(manifest: DatasetManifest, batch_rows: list[ManifestRow], 
         noisies.append(noisy)
     shape = cleans[0].shape
     for row, img in zip(batch_rows, cleans):
+        check_image_size(img.shape[0], img.shape[1], manifest.resolve(row))
         if img.shape != shape:
             raise ValueError(
                 f"mixed dimensions in one batch: {shape} vs {img.shape} ({row.clean_path})")

@@ -18,7 +18,7 @@ only by relu outputs can land exactly on the kink).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import rng
 from .layers import ConvSpec, avg_pool2d, conv2d, init_params, transposed_conv2d
 from .model import (ModelConfig, build_params, forward, inception_block,
                     inception_reduction_block)
-from .tensor import Tensor, no_grad, observe_relu_inputs
+from .tensor import Tensor, no_grad, observe_ops
 
 FD_STEP = 1e-5
 LAYER_TOL = 1e-6
@@ -79,16 +79,19 @@ def _randomize_biases(params, seed: int) -> None:
 
 
 def _kink_distance(build: Callable[[], Tensor]) -> float:
-    closest = [np.inf]
+    """The smallest |relu pre-activation| in one pass of `build`."""
+    pre = []
 
-    def observer(data: np.ndarray) -> None:
-        m = float(np.min(np.abs(data)))
-        if m < closest[0]:
-            closest[0] = m
+    def observer(op: str, fn: Callable, args: tuple) -> Tensor:
+        if op == "relu":
+            pre.append(args[0].data)
+        elif op == "conv2d" and args[1].relu:  # the fused layer's conv + bias, bit for bit
+            pre.append(fn(args[0], replace(args[1], relu=False), args[2]).data)
+        return fn(*args)
 
-    with no_grad(), observe_relu_inputs(observer):
+    with no_grad(), observe_ops(observer):
         build()
-    return closest[0]
+    return min((float(np.min(np.abs(a))) for a in pre), default=np.inf)
 
 
 def _finite_difference(loss_fn: Callable[[], float],

@@ -49,7 +49,7 @@ gradient, so output spatial extent = input * stride.
 A spec with `relu=True` fuses the activation into conv2d: one graph node
 returns max(conv + bias, 0), bit-identical to conv2d followed by
 Tensor.relu, and its backward masks the output gradient by output > 0.
-The pre-activation goes to the relu observer first and is not kept.
+The pre-activation is not kept.
 Plans are memoized per input size, channel count and geometry, and one
 backward builds the pitched output gradient once for both the input and
 weight gradients. The gradients the backward passes allocate (input,
@@ -67,7 +67,7 @@ from typing import Iterator
 import numpy as np
 
 from . import rng
-from .tensor import Tensor, report_relu_input
+from .tensor import Tensor, observed
 
 
 def _pair(v) -> tuple[int, int]:
@@ -541,6 +541,7 @@ def sharing_maps() -> Iterator[None]:
         _slot = prev
 
 
+@observed("conv2d")
 def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     """Strided/dilated 2-D convolution with per-channel bias, and relu if the spec says so."""
     if spec.transposed:
@@ -558,7 +559,6 @@ def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
         maps.xq = None  # no sibling reads it: backward rebuilds the maps
     y += bias.data[None, :, None, None]
     if spec.relu:
-        report_relu_input(y)
         # a fresh array: clamping y in place measured slower on large forward-only maps
         y = np.maximum(y, 0)
 
@@ -575,6 +575,7 @@ def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     return Tensor._make(y, (x, weight, bias), backward)
 
 
+@observed("transposed_conv2d")
 def transposed_conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     """Learned upsampling: output spatial extent = input extent * stride."""
     if not spec.transposed:
@@ -602,6 +603,7 @@ def transposed_conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     return Tensor._make(y, (x, weight, bias), backward)
 
 
+@observed("avg_pool2d")
 def avg_pool2d(x: Tensor) -> Tensor:
     """Non-overlapping 2x2 average pooling; backward spreads gradient uniformly."""
     if x.ndim != 4:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import imageio
 from .data import DatasetManifest
-from .model import forward
+from .model import check_image_size, forward
 from .noise import NoiseSpec, corrupt
 from .tensor import Tensor, no_grad
 
@@ -30,7 +30,7 @@ def mae_loss(z: Tensor, x: Tensor) -> Tensor:
     """Mean absolute error, differentiable; subgradient 0 at exact ties."""
     if z.shape != x.shape:
         raise ValueError(f"shape mismatch: {z.shape} vs {x.shape}")
-    return (z - x).abs_mean()
+    return (z - x).abs().mean()
 
 
 def psnr(a: np.ndarray, b: np.ndarray, peak: float = 255.0) -> float:
@@ -175,6 +175,7 @@ def evaluate_model(params, config, manifest: DatasetManifest, split: str,
     report = MetricReport()
     for row in rows:
         clean = imageio.load_image(manifest.resolve(row))
+        check_image_size(clean.shape[0], clean.shape[1], manifest.resolve(row))
         noisy = corrupt(clean, NoiseSpec(sigma=float(row.sigma), seed=row.seed))
         x = imageio.to_batch([noisy])
         with no_grad():

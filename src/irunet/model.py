@@ -40,6 +40,14 @@ from .tensor import Tensor, concat_channels
 
 DOWNSCALE_FACTOR = 16  # four stride-2 halvings
 
+
+def check_image_size(h: int, w: int, source) -> None:
+    """Reject an h x w image from `source` (a path, or a name) that forward() cannot run."""
+    if h % DOWNSCALE_FACTOR or w % DOWNSCALE_FACTOR:
+        raise ValueError(f"{source}: dimensions {w}x{h} not divisible by {DOWNSCALE_FACTOR}; "
+                         f"pad the image to a multiple of {DOWNSCALE_FACTOR} first")
+
+
 # Pixels per image in one band of the full-resolution stage under no_grad:
 # 64 rows at width 256. At 1x3x256x256 on a 2-core Xeon, a no_grad forward
 # peaked at 59.5 MB RSS in one band, 53.8 MB in 128-row bands and 48.0 MB in
@@ -254,12 +262,11 @@ def _keep_freed_heap() -> None:
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
-def forward(x: Tensor, config: ModelConfig, params: ParamStore,
-            return_latent: bool = False):
+def forward(x: Tensor, config: ModelConfig, params: ParamStore) -> Tensor:
     """Denoise a batch: [N,3,H,W] in [0,1] -> [N,3,H,W] in (0,1).
 
-    H and W must be divisible by 16. With return_latent the lowest-resolution
-    representation (H/16 x W/16) is returned alongside the reconstruction.
+    H and W must be divisible by 16. The lowest-resolution representation
+    (H/16 x W/16) is the input of dec1.up, which tensor.observe_ops can see.
     """
     _keep_freed_heap()
     if x.ndim != 4:
@@ -267,9 +274,7 @@ def forward(x: Tensor, config: ModelConfig, params: ParamStore,
     if x.shape[1] != config.input_channels:
         raise ValueError(
             f"channel mismatch: input has {x.shape[1]}, model expects {config.input_channels}")
-    if x.shape[2] % DOWNSCALE_FACTOR or x.shape[3] % DOWNSCALE_FACTOR:
-        raise ValueError(
-            f"spatial extents {x.shape[2]}x{x.shape[3]} must be divisible by {DOWNSCALE_FACTOR}")
+    check_image_size(x.shape[2], x.shape[3], "input")
 
     cur = _apply(x, params["head"])
     maps = [cur]  # the skips, and on top the map the decoder stages run on
@@ -277,11 +282,7 @@ def forward(x: Tensor, config: ModelConfig, params: ParamStore,
         cur = inception_reduction_block(cur, params, f"enc{i}.red")
         cur = inception_block(cur, params, f"enc{i}.inc")
         maps.append(cur)
-    latent = cur
 
     for i in range(1, 4):
         maps.append(_decoder_stage(maps, params, f"dec{i}"))
-    z = _full_resolution_stage(maps, config, params)
-    if return_latent:
-        return z, latent
-    return z
+    return _full_resolution_stage(maps, config, params)

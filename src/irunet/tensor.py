@@ -6,8 +6,8 @@ output keeps references to its parents plus a closure that routes the
 incoming gradient back to them. Calling backward() on a scalar walks that
 recorded graph once in reverse topological order, accumulates gradients
 into the leaves' `.grad` and frees each interior node as soon as its
-backward has run. The graph is per-forward-pass: one backward() consumes it,
-and a second backward() through it raises RuntimeError.
+backward has run, so a second backward() through it raises RuntimeError.
+Ops marked @observed report each call to the callback observe_ops() installs.
 
 Shape discipline is strict: the binary ops (+, -, *) take Tensor operands
 only, of exactly the same shape and dtype; there is no broadcasting, not
@@ -17,7 +17,8 @@ width layout throughout.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import functools
+from contextlib import AbstractContextManager, contextmanager
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -25,41 +26,42 @@ import numpy as np
 DEFAULT_DTYPE = np.float32
 
 _grad_enabled = True
-_relu_observer: Callable | None = None
+_observer: Callable | None = None
 
 
 @contextmanager
-def no_grad() -> Iterator[None]:
+def _setting(name: str, value) -> Iterator[None]:
+    """Set the module global `name` to `value` inside the block; blocks nest."""
+    prev = globals()[name]
+    globals()[name] = value
+    try:
+        yield
+    finally:
+        globals()[name] = prev
+
+
+def no_grad() -> AbstractContextManager[None]:
     """Disable graph recording inside the block (inference / data prep)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+    return _setting("_grad_enabled", False)
 
 
-@contextmanager
-def observe_relu_inputs(callback: Callable) -> Iterator[None]:
-    """Report every relu pre-activation array to `callback` inside the block.
+def observe_ops(observer: Callable) -> AbstractContextManager[None]:
+    """Inside the block, each call of an @observed op becomes `observer(op, fn, args)`.
 
-    Gradient checking uses this to measure how far the probe point is from
-    the relu kink, where finite differences stop being a valid oracle.
+    The observer must return fn(*args); it may also read the arguments, time
+    the call or run fn on other arguments.
     """
-    global _relu_observer
-    prev = _relu_observer
-    _relu_observer = callback
-    try:
-        yield
-    finally:
-        _relu_observer = prev
+    return _setting("_observer", observer)
 
 
-def report_relu_input(data: np.ndarray) -> None:
-    """Hand a relu pre-activation array to the observer, if one is installed."""
-    if _relu_observer is not None:
-        _relu_observer(data)
+def observed(op: str) -> Callable:
+    """Decorate `fn` so an installed observer sees its calls as `op`; else one None check."""
+    def decorate(fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def call(*args):
+            return fn(*args) if _observer is None else _observer(op, fn, args)
+        return call
+    return decorate
 
 
 def _walked(g: np.ndarray) -> None:
@@ -192,8 +194,8 @@ class Tensor:
                 o.accumulate_grad(g * self.data)
         return Tensor._make(self.data * o.data, (self, o), backward)
 
+    @observed("relu")
     def relu(self) -> "Tensor":
-        report_relu_input(self.data)
         out_data = np.maximum(self.data, 0)
 
         def backward(g: np.ndarray) -> None:
@@ -241,12 +243,9 @@ class Tensor:
                 self.accumulate_grad(np.full_like(self.data, g.reshape(()) / n))
         return Tensor._make(np.asarray(self.data.mean(), dtype=self.dtype), (self,), backward)
 
-    def abs_mean(self) -> "Tensor":
-        """Mean of absolute values, the kernel of the training loss."""
-        return self.abs().mean()
-
     # ---------------------------------------------------------------- backward
 
+    @observed("backward")
     def backward(self) -> None:
         """Reverse-mode sweep from this scalar through the recorded graph.
 
@@ -291,6 +290,7 @@ class Tensor:
             node.grad, node._backward, node._parents = None, _walked, ()
 
 
+@observed("concat_channels")
 def concat_channels(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate 4-D tensors along the channel axis.
 

@@ -3,6 +3,8 @@ import pytest
 
 from irunet import rng
 from irunet.imageio import quantize, save_image
+from irunet.model import forward
+from irunet.tensor import observe_ops
 
 
 def synth_image(seed: int, size: int = 32) -> np.ndarray:
@@ -50,6 +52,21 @@ def received_grads(node) -> list:
         inner(g)
     node._backward = backward
     return received
+
+
+def forward_with_latent(x, config, params):
+    """forward() and its H/16 latent, read through observe_ops as the input of dec1.up."""
+    latents = []
+
+    def observer(op, fn, args):
+        if op == "transposed_conv2d" and args[2].name == "dec1.up":
+            latents.append(args[0])
+        return fn(*args)
+
+    with observe_ops(observer):
+        z = forward(x, config, params)
+    assert len(latents) == 1
+    return z, latents[0]
 
 
 @pytest.fixture

@@ -24,7 +24,7 @@ from irunet.noise import NoiseSpec, corrupt
 from irunet.tensor import Tensor, no_grad
 from irunet.train import TrainConfig, train
 
-from conftest import synth_image, write_corpus
+from conftest import forward_with_latent, synth_image, write_corpus
 
 GOLDEN_PARAM_TOTAL = 133_971
 PARAM_BUDGET = 150_000
@@ -97,7 +97,7 @@ def test_criterion_3_shape_and_range_contract():
     x_vals = rng.uniform(rng.hash64("acc3"), 3 * 96 * 96).reshape(1, 3, 96, 96)
     x = Tensor(x_vals.astype(np.float32))
     with no_grad():
-        z, latent = forward(x, config, params, return_latent=True)
+        z, latent = forward_with_latent(x, config, params)
     assert z.shape == (1, 3, 96, 96)
     assert latent.shape[2:] == (6, 6)
     assert np.all(z.data > 0.0) and np.all(z.data < 1.0)

@@ -262,6 +262,15 @@ class TestTrain:
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
 
+    def test_wrong_size_images_exit_2_naming_the_file(self, tmp_path, capsys):
+        _, _, manifest_path = corrupt_corpus(tmp_path, count=3, size=40)
+        code, _ = train_tiny(tmp_path, manifest_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        manifest = DatasetManifest.load(manifest_path)
+        assert "40x40 not divisible by 16" in err
+        assert any(manifest.resolve(row) in err for row in manifest.rows)
+
     @pytest.mark.parametrize("setting", ["epsilon=inf", "learning_rate=nan"])
     def test_non_finite_train_float_exits_2_before_the_log(self, tmp_path, capsys, setting):
         _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
@@ -360,6 +369,17 @@ class TestDenoiseEvaluate:
         lines = report.read_text().strip().split("\n")
         assert lines[0] == "sigma\tn\tpsnr_mean\tssim_mean\tmae_mean"
         assert lines[-1].startswith("ALL\t")
+
+    def test_evaluate_wrong_size_images_exit_2_naming_the_file(self, tmp_path, trained, capsys):
+        _, ckpt = trained
+        _, _, manifest_path = corrupt_corpus(tmp_path / "odd", count=2, size=40)
+        code = run_cli(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(manifest_path),
+                        "--split", "train"])
+        assert code == 2
+        err = capsys.readouterr().err
+        manifest = DatasetManifest.load(manifest_path)
+        assert "40x40 not divisible by 16" in err
+        assert manifest.resolve(manifest.rows[0]) in err
 
     def test_evaluate_empty_split_exit_2(self, tmp_path):
         _, _, manifest_path = corrupt_corpus(tmp_path, count=2, size=32,

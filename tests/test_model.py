@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import ctypes
 import dataclasses
@@ -15,9 +16,9 @@ from irunet import imageio, layers, metrics, model, rng
 from irunet.layers import conv2d
 from irunet.model import (ModelConfig, build_params, forward, inception_block,
                           inception_reduction_block, layer_specs, param_count)
-from irunet.tensor import Tensor, concat_channels, no_grad, observe_relu_inputs
+from irunet.tensor import Tensor, concat_channels, no_grad, observe_ops
 
-from conftest import received_grads
+from conftest import forward_with_latent, received_grads
 
 GOLDEN_DEFAULT_PARAM_COUNT = 133_971
 
@@ -113,7 +114,7 @@ class TestForward:
         params = build_params(SMALL, 4, dtype=np.float64)
         x = rand64(16, (1, 3, 96, 96))
         with no_grad():
-            z, latent = forward(x, SMALL, params, return_latent=True)
+            z, latent = forward_with_latent(x, SMALL, params)
         assert z.shape == (1, 3, 96, 96)
         assert latent.shape == (1, 12, 6, 6)
         assert np.all(z.data > 0.0) and np.all(z.data < 1.0)
@@ -123,7 +124,7 @@ class TestForward:
         params = build_params(SMALL, 5, dtype=np.float64)
         x = rand64(rng.hash64("sz", size), (1, 3, size, size))
         with no_grad():
-            z, latent = forward(x, SMALL, params, return_latent=True)
+            z, latent = forward_with_latent(x, SMALL, params)
         assert z.shape == x.shape
         assert latent.shape[2:] == (size // 16, size // 16)
 
@@ -224,17 +225,28 @@ class TestFreedHeap:
 
 
 class TestFusedLayers:
-    def test_relu_observer_sees_each_relu_layer_unclamped(self):
+    def test_op_hook_sees_each_relu_layer_unclamped(self):
         config = ModelConfig()
-        relu_specs = [spec for _, spec in layer_specs(config) if spec.relu]
-        assert len(relu_specs) == 49
+        relu_layers = [(name, spec) for name, spec in layer_specs(config) if spec.relu]
+        assert len(relu_layers) == 49
         params = build_params(config, 10, dtype=np.float64)
         seen = []
-        with no_grad(), observe_relu_inputs(lambda a: seen.append(a.copy())):
+
+        def observer(op, fn, args):
+            out = fn(*args)
+            if op == "conv2d" and args[1].relu:
+                x, spec, lp = args
+                pre = fn(x, dataclasses.replace(spec, relu=False), lp).data
+                assert np.array_equal(out.data, np.maximum(pre, 0))  # the fused layer clamps it
+                seen.append((lp.name, pre))
+            return out
+
+        with no_grad(), observe_ops(observer):
             forward(rand64(21, (1, 3, 16, 16)), config, params)
-        # forward order is layer_specs order, so the i-th array has the i-th relu layer's width
-        assert [a.shape[1] for a in seen] == [spec.out_channels for spec in relu_specs]
-        assert all(np.any(a < 0) for a in seen)
+        # forward order is layer_specs order
+        assert [name for name, _ in seen] == [name for name, _ in relu_layers]
+        assert [a.shape[1] for _, a in seen] == [spec.out_channels for _, spec in relu_layers]
+        assert all(np.any(a < 0) for _, a in seen)
 
     def test_layers_called_through_three_argument_signature(self, monkeypatch):
         # the benchmark's tracer replaces these two functions with wrappers that
@@ -279,6 +291,37 @@ def compose(x, config, params):
         cur = model._apply(cur, params[f"dec{i}.merge"])
         cur = inception_block(cur, params, f"dec{i}.inc")
     return model._apply(cur, params["tail"]).sigmoid()
+
+
+class TestOpHook:
+    def test_recording_observer_sees_every_op_of_a_training_pass(self):
+        params = build_params(SMALL, 12, dtype=np.float64)
+        calls = []
+
+        def record(op, fn, args):
+            calls.append((op, args[2].name if op.endswith("conv2d") else None))
+            return fn(*args)
+
+        x = rand64(23, (1, 3, 16, 16), requires_grad=True)
+        with observe_ops(record):
+            forward(x, SMALL, params).mean().backward()
+        assert [name for _, name in calls if name] == [name for name, _ in layer_specs(SMALL)]
+        counts = collections.Counter(op for op, _ in calls)
+        assert (counts["avg_pool2d"], counts["concat_channels"], counts["backward"]) == (4, 16, 1)
+        assert set(counts) == {"conv2d", "transposed_conv2d", "avg_pool2d", "concat_channels",
+                               "backward"}
+
+    def test_pass_through_observer_changes_nothing(self):
+        params = build_params(SMALL, 13, dtype=np.float64)
+        runs = []
+        for hook in (contextlib.nullcontext(), observe_ops(lambda op, fn, args: fn(*args))):
+            x = rand64(24, (2, 3, 16, 16), requires_grad=True)
+            with hook:
+                z = forward(x, SMALL, params)
+                z.mean().backward()
+            runs.append([z.data, x.grad] + [t.grad for t in params.named_tensors().values()])
+            params.zero_grad()
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
 
 
 class TestBlockScope:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from irunet import rng
+from irunet import rng, tensor
 from irunet.metrics import mae_loss
 from irunet.model import ModelConfig, build_params, forward
-from irunet.tensor import Tensor, _walked, concat_channels, no_grad
+from irunet.tensor import Tensor, _walked, concat_channels, no_grad, observe_ops
 
 from conftest import received_grads
 
@@ -73,8 +73,8 @@ class TestElementwise:
 
 
 class TestReductions:
-    def test_abs_mean_hand_sum(self):
-        assert t64([-1.0, 1.0, -3.0, 3.0]).abs_mean().item() == 2.0
+    def test_abs_then_mean_hand_sum(self):
+        assert t64([-1.0, 1.0, -3.0, 3.0]).abs().mean().item() == 2.0
 
     def test_mean_of_zeros(self):
         assert t64(np.zeros((3, 3))).mean().item() == 0.0
@@ -84,9 +84,40 @@ class TestReductions:
 
     def test_empty_rejected(self):
         empty = Tensor(np.zeros((0,), dtype=np.float64))
-        for op in ("sum", "mean", "abs_mean"):
+        for op in (empty.sum, empty.mean, lambda: empty.abs().mean()):
             with pytest.raises(ValueError):
-                getattr(empty, op)()
+                op()
+
+
+class TestObserveOps:
+    @staticmethod
+    def recorder(tag, seen):
+        def observer(op, fn, args):
+            seen.append((tag, op))
+            return fn(*args)
+        return observer
+
+    def test_nested_block_restores_the_outer_observer(self):
+        seen = []
+        x = t64([-1.0, 2.0])
+        with observe_ops(self.recorder("outer", seen)):
+            x.relu()
+            with observe_ops(self.recorder("inner", seen)):
+                x.relu()
+            x.relu()
+            with pytest.raises(KeyError):
+                with observe_ops(self.recorder("failed", seen)):
+                    x.relu()
+                    raise KeyError("inside")
+            x.relu()
+        x.relu()
+        assert seen == [("outer", "relu"), ("inner", "relu"), ("outer", "relu"),
+                        ("failed", "relu"), ("outer", "relu")]
+        assert tensor._observer is None
+
+    def test_observed_op_keeps_its_name_and_docstring(self):
+        assert Tensor.relu.__name__ == "relu" and Tensor.backward.__doc__.startswith("Reverse")
+        assert concat_channels.__name__ == "concat_channels"
 
 
 class TestBackward:

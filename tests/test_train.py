@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib
 import io
@@ -12,6 +13,7 @@ train_mod = importlib.import_module("irunet.train")
 from irunet import gradcheck
 from irunet.checkpoint import load_checkpoint
 from irunet.data import build_manifest
+from irunet.layers import ConvSpec, conv2d, init_params
 from irunet.model import ModelConfig
 from irunet.tensor import Tensor
 from irunet.train import NonFiniteLossError, TrainConfig, train
@@ -224,6 +226,21 @@ class TestGradcheckHarness:
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError, match="level"):
             gradcheck.run("everything")
+
+    def test_kink_distance_is_the_smallest_relu_input(self):
+        spec = ConvSpec(3, 4, kernel=3, relu=True)  # the conv2d_3x3_relu case
+        lp = init_params(spec, 7, name="conv2d_3x3_relu", dtype=np.float64)
+        lp.bias.data[...] = [0.1, -0.2, 0.05, 0.0]
+        x = gradcheck._random_tensor(8, (2, 3, 5, 6))
+        padded = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        conv_plus_bias = lp.bias.data[None, :, None, None] + sum(
+            np.einsum("oc,nchw->nohw", lp.weight.data[:, :, i, j], padded[:, :, i:i + 5, j:j + 6])
+            for i in range(3) for j in range(3))
+        assert gradcheck._kink_distance(lambda: conv2d(x, spec, lp)) == pytest.approx(
+            np.min(np.abs(conv_plus_bias)), rel=1e-12, abs=1e-15)
+        plain = dataclasses.replace(spec, relu=False)
+        assert gradcheck._kink_distance(lambda: conv2d(x, plain, lp)) == np.inf
+        assert gradcheck._kink_distance(lambda: x.relu()) == np.min(np.abs(x.data))
 
     def test_report_lines_are_printable(self):
         results = gradcheck.run("layer")
