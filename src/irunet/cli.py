@@ -72,6 +72,40 @@ def cmd_corrupt(args) -> int:
     return EXIT_OK
 
 
+class _RunLog:
+    """A run's `train.log`, opened, and headed, at the first line the run logs.
+
+    A fresh run creates the file, a resumed one appends to it. Leaving the
+    block normally (a finished run, or an abort) writes the header of a run
+    that logged no step. Leaving it by an exception does not, so a run that
+    failed on its input before its first step leaves no new file, and a
+    resumed log byte-identical.
+    """
+
+    def __init__(self, path: str, mode: str, header: str):
+        self._path, self._mode, self._header = path, mode, header
+        self._file = None
+
+    def write(self, text: str) -> None:
+        if self._file is None:
+            self._file = open(self._path, self._mode, encoding="utf-8")
+            self._file.write(self._header)
+        self._file.write(text)
+
+    def flush(self) -> None:
+        if self._file is not None:
+            self._file.flush()
+
+    def __enter__(self) -> "_RunLog":
+        return self
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.write("")
+        if self._file is not None:
+            self._file.close()
+
+
 def cmd_train(args) -> int:
     loaded = None if args.resume is None else load_checkpoint(args.resume)
     resumed = None if loaded is None else loaded.config
@@ -83,12 +117,10 @@ def cmd_train(args) -> int:
     manifest = DatasetManifest.load(args.manifest)
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train.log")
+    header = "".join(f"# {line}\n" for line in echo_lines(model_config, train_config))
+    sys.stdout.write(header)
     # a resumed run continues the log: each segment opens with its own header
-    with open(log_path, "w" if args.resume is None else "a", encoding="utf-8") as log:
-        header = "".join(f"# {line}\n" for line in echo_lines(model_config, train_config))
-        log.write(header)
-        log.flush()
-        sys.stdout.write(header)
+    with _RunLog(log_path, "w" if args.resume is None else "a", header) as log:
         try:
             result = train_from(model_config, train_config, manifest, args.out,
                                 loaded, log_stream=log)

@@ -49,7 +49,10 @@ gradient, so output spatial extent = input * stride.
 A spec with `relu=True` fuses the activation into conv2d: one graph node
 returns max(conv + bias, 0), bit-identical to conv2d followed by
 Tensor.relu, and its backward masks the output gradient by output > 0.
-The pre-activation is not kept.
+The pre-activation is not kept, and the mask comes from the output tensor's
+data at backward time, reached through a weak reference: a concat may have
+rebound that data to a view of its own output (tensor.concat_channels), and a
+strong reference from the closure to its own node would make a cycle.
 Plans are memoized per input size, channel count and geometry, and one
 backward builds the pitched output gradient once for both the input and
 weight gradients. The gradients the backward passes allocate (input,
@@ -59,6 +62,7 @@ owned and the first one becomes `.grad` without a copy.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -564,7 +568,7 @@ def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if spec.relu:
-            g = g * (y > 0)
+            g = g * (out_ref().data > 0)
         gp = _pitched(g, plan)
         if x.requires_grad:
             x.accumulate_grad(_conv2d_grad_x(gp, weight.data, x.shape, plan), owned=True)
@@ -572,7 +576,9 @@ def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
             weight.accumulate_grad(_conv2d_grad_w(maps.get(), gp, plan), owned=True)
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)), owned=True)
-    return Tensor._make(y, (x, weight, bias), backward)
+    out = Tensor._make(y, (x, weight, bias), backward)
+    out_ref = weakref.ref(out)
+    return out
 
 
 @observed("transposed_conv2d")

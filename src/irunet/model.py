@@ -170,33 +170,34 @@ def _apply(x: Tensor, lp: LayerParams) -> Tensor:
     return conv2d(x, lp.spec, lp)
 
 
+def _branches(x: Tensor, params: ParamStore, prefix: str, names: tuple[str, ...]) -> list[Tensor]:
+    """A block's sibling convs on x; they build x's maps once, and leaving the scope frees them."""
+    with layers.sharing_maps():
+        return [_apply(x, params[f"{prefix}.{name}"]) for name in names]
+
+
 def inception_block(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
-    """Three parallel 3x3 branches (one dilated), concat, 1x1 reduce, residual add."""
-    with layers.sharing_maps():  # the branches build x's maps once; the concat finds them freed
-        b1 = _apply(x, params[f"{prefix}.b1"])
-        b2 = _apply(x, params[f"{prefix}.b2"])
-        b3 = _apply(x, params[f"{prefix}.b3"])
-    merged = concat_channels([b1, b2, b3])
-    main = _apply(merged, params[f"{prefix}.reduce"])
-    return main + x
+    """Three parallel 3x3 branches (one dilated), concat, 1x1 reduce, residual add.
+
+    The branches and their concat are temporaries, so under no_grad each is
+    freed as soon as the next layer has read it.
+    """
+    return _apply(concat_channels(_branches(x, params, prefix, ("b1", "b2", "b3"))),
+                  params[f"{prefix}.reduce"]) + x
 
 
 def inception_reduction_block(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
     """Two strided 3x3 branches plus 2x2 average pooling, concat, 1x1 reduce.
 
     The shortcut is a 1x1 stride-2 projection so the residual add matches
-    the halved resolution and the new channel count.
+    the halved resolution and the new channel count. As in inception_block,
+    the concat's parts are temporaries.
     """
     if x.shape[2] % 2 or x.shape[3] % 2:
         raise ValueError(f"reduction block needs even spatial extents, got {x.shape}")
-    with layers.sharing_maps():  # the branches build x's maps once; pooling finds them freed
-        b1 = _apply(x, params[f"{prefix}.b1"])
-        b2 = _apply(x, params[f"{prefix}.b2"])
-    pooled = avg_pool2d(x)
-    merged = concat_channels([b1, b2, pooled])
-    main = _apply(merged, params[f"{prefix}.reduce"])
-    shortcut = _apply(x, params[f"{prefix}.shortcut"])
-    return main + shortcut
+    main = _apply(concat_channels(_branches(x, params, prefix, ("b1", "b2")) + [avg_pool2d(x)]),
+                  params[f"{prefix}.reduce"])
+    return main + _apply(x, params[f"{prefix}.shortcut"])
 
 
 def _decoder_stage(maps: list[Tensor], params: ParamStore, prefix: str) -> Tensor:

@@ -1,12 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A Tensor wraps a contiguous numpy array (float32 by default, float64 for
-gradient checking) and records the operation graph as it is built: each op
-output keeps references to its parents plus a closure that routes the
-incoming gradient back to them. Calling backward() on a scalar walks that
-recorded graph once in reverse topological order, accumulates gradients
-into the leaves' `.grad` and frees each interior node as soon as its
-backward has run, so a second backward() through it raises RuntimeError.
+A Tensor wraps a numpy array (float32 by default, float64 for gradient
+checking) and records the operation graph as it is built: each op output
+keeps references to its parents plus a closure that routes the incoming
+gradient back to them. Tensor() makes its array contiguous. When
+concat_channels records a graph, each part that is an op output becomes a
+view of its channel slice of the concat output, so the graph stores that
+activation once; leaf parts (parameters, inputs) and no_grad concats keep
+their arrays. Calling backward() on a scalar walks that recorded graph once
+in reverse topological order, accumulates gradients into the leaves' `.grad`
+and frees each interior node as soon as its backward has run, so a second
+backward() through it raises RuntimeError.
 Ops marked @observed report each call to the callback observe_ops() installs.
 
 Shape discipline is strict: the binary ops (+, -, *) take Tensor operands
@@ -73,7 +77,7 @@ def _walked(g: np.ndarray) -> None:
 class Tensor:
     """N-dimensional value node of the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if dtype is not None:
@@ -295,7 +299,9 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate 4-D tensors along the channel axis.
 
     All parts must agree on batch, height and width; the backward pass
-    splits the gradient back by channel ranges.
+    splits the gradient back by channel ranges. When the call records a
+    graph, each part that is an op output is rebound to its channel slice of
+    the output, so its own array is freed unless something else holds it.
     """
     parts = list(parts)
     if not parts:
@@ -315,4 +321,9 @@ def concat_channels(parts: Sequence[Tensor]) -> Tensor:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 p.accumulate_grad(g[:, lo:hi])
-    return Tensor._make(np.concatenate([p.data for p in parts], axis=1), parts, backward)
+    out = Tensor._make(np.concatenate([p.data for p in parts], axis=1), parts, backward)
+    if out.requires_grad:
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p._backward is not None:
+                p.data = out.data[:, lo:hi]
+    return out

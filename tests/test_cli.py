@@ -270,6 +270,30 @@ class TestTrain:
         manifest = DatasetManifest.load(manifest_path)
         assert "40x40 not divisible by 16" in err
         assert any(manifest.resolve(row) in err for row in manifest.rows)
+        assert not (tmp_path / "run" / "train.log").exists()
+
+    def test_resume_on_wrong_size_images_leaves_the_log_byte_identical(self, tmp_path, capsys):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        code, out = train_tiny(tmp_path, manifest_path, max_steps=2)
+        assert code == 0
+        log_before = (out / "train.log").read_bytes()
+        _, _, wrong_size = corrupt_corpus(tmp_path / "wrong", count=3, size=40)
+        code, _ = train_tiny(tmp_path, wrong_size, max_steps=4,
+                             extra=["--resume", str(out / "step000002.ckpt")])
+        assert code == 2
+        assert "40x40 not divisible by 16" in capsys.readouterr().err
+        assert (out / "train.log").read_bytes() == log_before
+
+    def test_resume_with_no_step_left_still_logs_its_header(self, tmp_path):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        code, out = train_tiny(tmp_path, manifest_path, max_steps=2)
+        assert code == 0
+        log_before = (out / "train.log").read_text()
+        code, _ = train_tiny(tmp_path, manifest_path, max_steps=2,
+                             extra=["--resume", str(out / "step000002.ckpt")])
+        assert code == 0
+        appended = (out / "train.log").read_text()[len(log_before):]
+        assert appended and all(line.startswith("# ") for line in appended.splitlines())
 
     @pytest.mark.parametrize("setting", ["epsilon=inf", "learning_rate=nan"])
     def test_non_finite_train_float_exits_2_before_the_log(self, tmp_path, capsys, setting):

@@ -2,10 +2,12 @@ import collections
 import contextlib
 import ctypes
 import dataclasses
+import gc
 import importlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -322,6 +324,118 @@ class TestOpHook:
             runs.append([z.data, x.grad] + [t.grad for t in params.named_tensors().values()])
             params.zero_grad()
         assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+def concat_calls(x, config, params):
+    """forward(), and each concat_channels call in it as (its parts, its output)."""
+    calls = []
+
+    def record(op, fn, args):
+        out = fn(*args)
+        if op == "concat_channels":
+            calls.append((list(args[0]), out))
+        return out
+
+    with observe_ops(record):
+        forward(x, config, params)
+    return calls
+
+
+class TestActivationsStoredOnce:
+    """A recorded concat rebinds its op-output parts to views of its output."""
+
+    def test_recorded_forward_stores_every_concat_part_once(self):
+        x = Tensor(rng.uniform(30, 2 * 3 * 32 * 32).reshape(2, 3, 32, 32).astype(np.float32))
+        calls = concat_calls(x, SMALL, build_params(SMALL, 18))
+        assert len(calls) == 16
+        for parts, out in calls:
+            # every part in the model is an op output: a conv, pooling, or residual add
+            assert all(p._backward is not None for p in parts)
+            assert all(np.shares_memory(p.data, out.data) for p in parts)
+            assert sum(p.shape[1] for p in parts) == out.shape[1]
+
+    def test_no_grad_forward_rebinds_nothing(self):
+        x = Tensor(rng.uniform(31, 3 * 32 * 32).reshape(1, 3, 32, 32).astype(np.float32))
+        with no_grad():
+            calls = concat_calls(x, SMALL, build_params(SMALL, 18))
+        assert len(calls) == 16
+        assert not any(np.shares_memory(p.data, out.data) for parts, out in calls for p in parts)
+
+    def test_recorded_graph_holds_no_reference_cycle(self):
+        # with the cycle collector off, dropping the output must free every op output
+        params = build_params(SMALL, 19)
+        x = Tensor(rng.uniform(32, 2 * 3 * 32 * 32).reshape(2, 3, 32, 32).astype(np.float32))
+        outputs = []
+
+        def record(op, fn, args):
+            out = fn(*args)
+            outputs.append(weakref.ref(out))
+            return out
+
+        gc.collect()
+        gc.disable()
+        try:
+            with observe_ops(record):
+                z = forward(x, SMALL, params)
+            del z
+            assert len(outputs) == len(layer_specs(SMALL)) + 4 + 16
+            assert all(ref() is None for ref in outputs)
+        finally:
+            gc.enable()
+
+    def test_graph_dropped_without_backward_frees_its_memory(self):
+        config = ModelConfig()
+        params = build_params(config, 20)
+        x = Tensor(rng.uniform(33, 3 * 64 * 64).reshape(1, 3, 64, 64).astype(np.float32))
+        forward(x, config, params)  # plans and caches
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            z = forward(x, config, params)
+            held = tracemalloc.get_traced_memory()[0] - start
+            del z
+            left = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held > 2 << 20  # the graph held its activations
+        assert left < 64 << 10
+
+
+class TestMemoryGuard:
+    """Deterministic tracemalloc bounds on the default model's activations."""
+
+    def test_live_bytes_after_a_recorded_forward(self):
+        config = ModelConfig()
+        params = build_params(config, 21)
+        x = Tensor(rng.uniform(34, 8 * 3 * 64 * 64).reshape(8, 3, 64, 64).astype(np.float32))
+        forward(x, config, params)  # plans and caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            z = forward(x, config, params)
+            live = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert z.requires_grad
+        assert live <= 33 << 20  # 39.8 MiB when each concat part kept its own array
+
+    def test_no_grad_forward_peak_per_pixel(self):
+        config = ModelConfig()
+        params = build_params(config, 22)
+        x = Tensor(rng.uniform(35, 3 * 256 * 256).reshape(1, 3, 256, 256).astype(np.float32))
+        with no_grad():
+            forward(x, config, params)  # plans and caches
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                forward(x, config, params)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        assert peak <= 190 * 256 * 256  # 213 B/px when blocks kept their branches to the end
 
 
 class TestBlockScope:

@@ -228,6 +228,28 @@ class TestConcatChannels:
         assert np.array_equal(a.grad, p.data[:, :2] + q.data)
         assert not np.shares_memory(a.grad, c_grad)
 
+    def test_recorded_op_output_parts_become_views_of_the_output(self):
+        leaf, u, v = rand64(21, (2, 2, 2, 2)), rand64(22, (2, 3, 2, 2)), rand64(23, (2, 3, 2, 2))
+        op = u * v
+        constant = rand64(24, (2, 1, 2, 2), requires_grad=False) * rand64(
+            25, (2, 1, 2, 2), requires_grad=False)  # an op output that records nothing
+        arrays = [leaf.data, op.data.copy(), constant.data]
+        c = concat_channels([leaf, op, constant])
+        assert np.shares_memory(op.data, c.data[:, 2:5]) and op.shape == (2, 3, 2, 2)
+        assert np.array_equal(op.data, arrays[1])
+        assert leaf.data is arrays[0] and constant.data is arrays[2]
+        w = rand64(26, c.shape, requires_grad=False)
+        (c * w).sum().backward()
+        assert np.array_equal(leaf.grad, w.data[:, :2])
+        assert np.array_equal(u.grad, w.data[:, 2:5] * v.data)
+
+    def test_no_grad_concat_rebinds_no_part(self):
+        op = rand64(27, (1, 2, 2, 2)) * rand64(28, (1, 2, 2, 2))
+        data = op.data
+        with no_grad():
+            c = concat_channels([op, rand64(29, (1, 1, 2, 2))])
+        assert op.data is data and not np.shares_memory(op.data, c.data)
+
     def test_spatial_mismatch_rejected(self):
         a = rand64(15, (1, 2, 4, 4))
         b = rand64(16, (1, 2, 4, 5))
