@@ -16,7 +16,7 @@ The taps sweep the map in cache-sized blocks.
 Stride-1 "same" convs with padding up to 2 (3x3 at dilation 1 and 2) share
 one map layout that depends only on their geometry (see _Plan). An
 inception block runs its three branches, and a reduction block its two,
-inside sharing_maps(): consecutive convs there that read one input array in
+inside sharing_maps(): consecutive convs there that read one input tensor in
 one layout build its maps once in forward and once in backward, and leaving
 the block drops the forward copy. A conv outside a block shares nothing and
 keeps no forward copy past its own call.
@@ -508,19 +508,22 @@ def _check_layer_input(x: Tensor, spec: ConvSpec, params: LayerParams) -> None:
 
 @dataclass
 class _Maps:
-    """The phase maps of one input array in one layout, built at the first read.
+    """The phase maps of one input tensor in one layout, built at the first read.
 
     The convs that share them hold one instance, so maps rebuilt in backward
-    go with the last holder's closure.
+    go with the last holder's closure. They are built from the tensor's data
+    as it is at that read: a concat may have rebound it to a channel slice of
+    its output since the forward pass (tensor.concat_channels), and holding
+    the tensor instead of its array lets that array be freed.
     """
 
-    x: np.ndarray | None
+    x: Tensor | None
     plan: _Plan | None
     xq: np.ndarray | None = None
 
     def get(self) -> np.ndarray:
         if self.xq is None:
-            self.xq = _to_phases(self.x, self.plan)
+            self.xq = _to_phases(self.x.data, self.plan)
         return self.xq
 
 
@@ -529,10 +532,10 @@ _slot: list[_Maps] | None = None  # inside sharing_maps(): [the last conv's maps
 
 @contextmanager
 def sharing_maps() -> Iterator[None]:
-    """Consecutive convs in the scope that read one input array in one layout share its maps.
+    """Consecutive convs in the scope that read one input tensor in one layout share its maps.
 
     An inception or reduction block runs its sibling branches in one. Maps
-    that another array or layout replaces, or that are left when the scope
+    that another tensor or layout replaces, or that are left when the scope
     ends, drop their forward copy, so none outlives the siblings; backward
     rebuilds them once, at their first reader.
     """
@@ -555,9 +558,9 @@ def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     plan = _plan(x.shape[2], x.shape[3], spec)
     slot = _slot or [_Maps(None, None)]  # outside sharing_maps(), a slot of its own
     maps = slot[0]
-    if maps.x is not x.data or maps.plan.layout != plan.layout:
+    if maps.x is not x or maps.plan.layout != plan.layout:
         maps.xq = None
-        maps = slot[0] = _Maps(x.data, plan)
+        maps = slot[0] = _Maps(x, plan)
     y = _conv2d_raw(maps.get(), weight.data, plan)
     if _slot is None:
         maps.xq = None  # no sibling reads it: backward rebuilds the maps

@@ -12,18 +12,30 @@ Both block types carry a residual shortcut: identity for the inception
 block, a 1x1 stride-2 projection for the reduction block, so zeroing the
 main path leaves the shortcut map.
 
-Under no_grad, the full-resolution stage (dec4.up, the concat with the head
-skip, dec4.merge, dec4.inc, tail and the sigmoid) runs over row bands of the
-output, about _BAND_PIXELS pixels of each image per band, so its maps are
-never live for the whole image at once. Each band runs the same layer calls
-on its own rows plus a halo on each side, read as views of the dec3 output
-and the head skip, and writes only its own rows into the output. The halo
-covers the reach of dec4.inc's dilated branch and of tail (3 rows at the
-default kernel 3 and dilation 2), rounded up to even so every band starts on
-an even row, as the 2x2 stride-2 dec4.up needs; a band at the top or bottom
-of the image has no halo on that side, so image edges keep their zero
-padding. An image that fits in one band, and any forward that records a
-graph, runs as one band: the plain layer sequence.
+Under no_grad, two stages run over row bands of the image, about
+_BAND_PIXELS pixels of each image per band, so their maps are never live for
+the whole image at once:
+- head -> enc1.red, over rows of the input. Each band writes its rows of
+  the half-resolution enc1.red output into one array, so no whole-image head
+  output exists.
+- the full-resolution stage: head, dec4.up, the concat of the two, dec4.merge,
+  dec4.inc, tail and the sigmoid. Each band recomputes its rows of the head
+  skip (64 B/px) from the input rows around them, instead of keeping the
+  whole skip alive across the encoder: compute traded for memory.
+Each band runs the same layer calls as one pass over the whole image, on its
+own rows plus a halo on each side, read as views of the stage's inputs, and
+writes only its own rows into the stage's output. The halo covers the reach
+of the stage's convs (head's and the strided convs' at head -> enc1.red;
+head's, dec4.inc's dilated branch's and tail's at full resolution), rounded
+up to _BAND_STEP: 4 rows for both at the default kernel 3 and dilation 2. A
+band at the top or bottom of the image has no halo on that side, so image
+edges keep their zero padding. The output is bit-identical to one pass over
+the whole image on every shape tried (see _BAND_STEP). An observer installed
+with tensor.observe_ops sees head once per band of each stage, and the
+enc1.red layers once per band of the first.
+
+An image that fits in one band, and any forward that records a graph, runs
+the plain layer sequence: head once, its output kept as dec4's skip.
 """
 
 from __future__ import annotations
@@ -31,12 +43,13 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import layers, rng
 from .layers import ConvSpec, LayerParams, avg_pool2d, conv2d, init_params, transposed_conv2d
-from .tensor import Tensor, concat_channels
+from .tensor import Tensor, concat_channels, records_graph
 
 DOWNSCALE_FACTOR = 16  # four stride-2 halvings
 
@@ -48,11 +61,21 @@ def check_image_size(h: int, w: int, source) -> None:
                          f"pad the image to a multiple of {DOWNSCALE_FACTOR} first")
 
 
-# Pixels per image in one band of the full-resolution stage under no_grad:
-# 64 rows at width 256. At 1x3x256x256 on a 2-core Xeon, a no_grad forward
-# peaked at 59.5 MB RSS in one band, 53.8 MB in 128-row bands and 48.0 MB in
-# 64-row bands; 32-row bands saved 1.5 MB more but ran slower than one band.
+# Pixels per image in one band of each banded stage under no_grad: 64 rows at
+# width 256. When only the full-resolution stage ran in bands, a no_grad
+# 1x3x256x256 forward on a 2-core Xeon peaked at 59.5 MB RSS in one band,
+# 53.8 MB in 128-row bands and 48.0 MB in 64-row bands; 32-row bands saved
+# 1.5 MB more but ran slower than one band.
 _BAND_PIXELS = 16 * 1024
+
+# Every band starts on a multiple of 4 rows and reads a multiple of 4 rows
+# past its own, so it starts on an even row, as the stride-2 layers need, and
+# holds an even number of half-resolution rows. Then each image's
+# enc1.red.reduce GEMM (K = 32) spans a multiple of 16 columns in every band,
+# as it does over the whole image: OpenBLAS's Haswell sgemm rounds a last
+# partial block of 1 to 8 columns differently at K >= 32, which changed the
+# last bits of a 336x80 output when its last band held 9 half-resolution rows.
+_BAND_STEP = 4
 
 
 @dataclass
@@ -211,35 +234,47 @@ def _decoder_stage(maps: list[Tensor], params: ParamStore, prefix: str) -> Tenso
     return inception_block(cur, params, f"{prefix}.inc")
 
 
-def _halo(config: ModelConfig) -> int:
-    """Rows a band reads past its own on each side (see the module docstring)."""
-    k = config.kernel
-    reach = -(-(k - 1) * config.dilation_rate // 2) + -(-(k - 1) // 2)
-    return reach + reach % 2
+def _halos(config: ModelConfig) -> tuple[int, int]:
+    """Rows a band reads past its own on each side, per banded stage (see the module docstring).
+
+    A "same" conv reads ceil((k - 1) * dilation / 2) rows past an output row.
+    head -> enc1.red adds head's reach to that of the strided convs; the
+    full-resolution stage adds head's (each band recomputes the skip) to that
+    of dec4.inc's dilated branch and tail. Each is rounded up to _BAND_STEP.
+    """
+    k, d = config.kernel, config.dilation_rate
+    reach = -(-(k - 1) // 2)
+    sums = (2 * reach, 2 * reach + -(-(k - 1) * d // 2))
+    return tuple(-(-r // _BAND_STEP) * _BAND_STEP for r in sums)
 
 
-def _full_resolution_stage(maps: list[Tensor], config: ModelConfig,
-                           params: ParamStore) -> Tensor:
-    """dec4 on maps = [head skip, dec3 output], then tail and sigmoid, in row bands.
+def _in_bands(stage: Callable[[list[Tensor]], Tensor], maps: list[Tensor],
+              scales: tuple[int, ...], halo: int, whole: bool) -> Tensor:
+    """stage(maps) in row bands of the image, or in one call if `whole` or it fits one band.
 
-    A band holds at least 4 halos of rows, so the halos at most add half of
-    a band's rows. One band pops both maps, as the other decoder stages do.
+    Each map covers the image at 1/scale of its rows. A band owns `rows` image
+    rows and reads `halo` more on each side, where the image has them, as
+    views of every map; it writes only its own rows of the output, whose scale
+    it reads off the stage's output. Rows and halo are multiples of
+    _BAND_STEP, and a band owns at least 4 halos, so the halos at most add
+    half of its rows. The stage may consume the list it is given, so one call
+    frees each map after its last use unless something else holds it.
     """
     n, _, h, w = maps[0].shape
-    halo = _halo(config)
-    rows = h if maps[1].requires_grad else max(_BAND_PIXELS // w, 4 * halo, 2) // 2 * 2
+    h, w = h * scales[0], w * scales[0]
+    rows = max(_BAND_PIXELS // w, 4 * halo, _BAND_STEP) // _BAND_STEP * _BAND_STEP
+    if whole or rows >= h:
+        return stage(maps)
     out = None
     for r0 in range(0, h, rows):
         e0, e1 = max(r0 - halo, 0), min(r0 + rows + halo, h)
-        band = maps if rows >= h else [  # views: Tensor() would copy them contiguous
-            Tensor._make(maps[0].data[:, :, e0:e1], (), None),
-            Tensor._make(maps[1].data[:, :, e0 // 2:e1 // 2], (), None)]
-        z = _apply(_decoder_stage(band, params, "dec4"), params["tail"]).sigmoid()
-        if rows >= h:
-            return z
+        # views of the band's rows of each map: Tensor() would copy them contiguous
+        z = stage([Tensor._make(m.data[:, :, e0 // s:e1 // s], (), None)
+                   for m, s in zip(maps, scales)])
+        s = (e1 - e0) // z.shape[2]
         if out is None:
-            out = np.empty((n, z.shape[1], h, w), dtype=z.dtype)
-        out[:, :, r0:r0 + rows] = z.data[:, :, r0 - e0:r0 - e0 + rows]
+            out = np.empty((n, z.shape[1], h // s, z.shape[3]), dtype=z.dtype)
+        out[:, :, r0 // s:(r0 + rows) // s] = z.data[:, :, (r0 - e0) // s:(r0 - e0 + rows) // s]
     return Tensor._make(out, (), None)
 
 
@@ -277,13 +312,32 @@ def forward(x: Tensor, config: ModelConfig, params: ParamStore) -> Tensor:
             f"channel mismatch: input has {x.shape[1]}, model expects {config.input_channels}")
     check_image_size(x.shape[2], x.shape[3], "input")
 
-    cur = _apply(x, params["head"])
-    maps = [cur]  # the skips, and on top the map the decoder stages run on
-    for i in range(1, 5):
+    h, w = x.shape[2:]
+    # One pass over the whole image keeps head's output as dec4's skip: a graph
+    # needs it, and an image that fits one band would only compute it twice.
+    whole = records_graph([x, *params.named_tensors().values()]) or h * w <= _BAND_PIXELS
+    entry_halo, full_halo = _halos(config)
+
+    def head(t: Tensor) -> Tensor:
+        return t if whole else _apply(t, params["head"])
+
+    def encoder_entry(band: list[Tensor]) -> Tensor:
+        return inception_reduction_block(head(band.pop()), params, "enc1.red")
+
+    def full_resolution(band: list[Tensor]) -> Tensor:  # band = [x or skip, dec3 output]
+        band[0] = head(band[0])
+        return _apply(_decoder_stage(band, params, "dec4"), params["tail"]).sigmoid()
+
+    # the skips, or x for the head skip, and on top the map the decoder stages run on
+    maps = [_apply(x, params["head"]) if whole else x]
+    cur = inception_block(_in_bands(encoder_entry, maps[:1], (1,), entry_halo, whole), params,
+                          "enc1.inc")
+    maps.append(cur)
+    for i in range(2, 5):
         cur = inception_reduction_block(cur, params, f"enc{i}.red")
         cur = inception_block(cur, params, f"enc{i}.inc")
         maps.append(cur)
 
     for i in range(1, 4):
         maps.append(_decoder_stage(maps, params, f"dec{i}"))
-    return _full_resolution_stage(maps, config, params)
+    return _in_bands(full_resolution, maps, (1, 2), full_halo, whole)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 from contextlib import AbstractContextManager, contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +56,11 @@ def observe_ops(observer: Callable) -> AbstractContextManager[None]:
     the call or run fn on other arguments.
     """
     return _setting("_observer", observer)
+
+
+def records_graph(inputs: Iterable["Tensor"]) -> bool:
+    """Whether an op on `inputs` records a graph: grad is enabled and some input requires grad."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
 
 
 def observed(op: str) -> Callable:
@@ -151,7 +156,7 @@ class Tensor:
         out.grad = None
         out._parents = ()
         out._backward = None
-        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
+        out.requires_grad = records_graph(parents)
         if out.requires_grad:
             out._parents = tuple(parents)
             out._backward = backward

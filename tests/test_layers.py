@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -484,6 +485,49 @@ class TestSharedMaps:
             again = conv2d(x, lp.spec, lp)
             fresh = conv2d(Tensor(x.data.copy()), lp.spec, lp)
         assert np.array_equal(again.data, fresh.data)
+
+
+class TestChannelSliceInputs:
+    """A recorded concat rebinds its parts to channel slices of its output (concat_channels)."""
+
+    @staticmethod
+    def run(spec, x, seed, rebind=False):
+        lp = init_params(spec, seed, name="l", dtype=np.float64)
+        out = conv2d(x, spec, lp)
+        if rebind:
+            # as a recorded concat does: the same values, now a slice of a wider
+            # array; the conv holds its input tensor, not the array, so it is freed
+            original = weakref.ref(x.data)
+            x.data = np.concatenate([x.data, x.data[:, :1]], axis=1)[:, :-1]
+            assert original() is None
+        out.sum().backward()
+        return [out.data, x.grad, lp.weight.grad, lp.bias.grad]
+
+    @pytest.mark.parametrize("geometry, layout", [
+        (dict(kernel=3, padding="valid"), "stacked view"),  # _stacks' as_strided on the input
+        (dict(kernel=1), "view"),
+        (dict(kernel=3, stride=2), "phases"),
+        (dict(kernel=3, dilation=2), "phases"),
+    ])
+    def test_conv_reads_a_channel_slice_view(self, geometry, layout):
+        spec = ConvSpec(3, 4, **geometry)
+        wide = rand64(40, (2, 5, 9, 8)).data
+        view = wide[:, 1:4]
+        plan = layers._plan(9, 8, spec)
+        assert plan.is_view == ("view" in layout) and plan.stacked == ("stacked" in layout)
+        assert np.shares_memory(layers._to_phases(view, plan), wide) == plan.is_view
+        x, contiguous = Tensor(view, requires_grad=True), Tensor(view, requires_grad=True)
+        x.data = view  # Tensor() copies it contiguous
+        for a, b in zip(self.run(spec, x, 41), self.run(spec, contiguous, 41)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("geometry", [dict(kernel=3), dict(kernel=3, stride=2), dict(kernel=1)])
+    def test_backward_rebuilds_maps_from_the_rebound_input(self, geometry):
+        spec = ConvSpec(3, 4, **geometry)
+        data = rand64(42, (2, 3, 8, 8)).data
+        rebound = self.run(spec, Tensor(data.copy(), requires_grad=True), 43, rebind=True)
+        for a, b in zip(rebound, self.run(spec, Tensor(data.copy(), requires_grad=True), 43)):
+            assert np.array_equal(a, b)
 
 
 # the relu geometries the model uses: 3x3, 3x3 dilation 2, 3x3 stride 2, 1x1

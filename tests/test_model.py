@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from irunet import imageio, layers, metrics, model, rng
+from irunet import layers, metrics, model, rng
 from irunet.layers import conv2d
 from irunet.model import (ModelConfig, build_params, forward, inception_block,
                           inception_reduction_block, layer_specs, param_count)
@@ -383,6 +383,24 @@ class TestActivationsStoredOnce:
         finally:
             gc.enable()
 
+    def test_recorded_forward_frees_every_concat_part_array(self):
+        # a skip's encoder convs rebuild its maps from the tensor in backward, so
+        # its own array goes once the decoder's concat rebinds it to a view
+        params = build_params(SMALL, 18)
+        x = Tensor(rng.uniform(34, 2 * 3 * 32 * 32).reshape(2, 3, 32, 32).astype(np.float32))
+        arrays = []
+
+        def record(op, fn, args):
+            if op == "concat_channels":
+                arrays.extend(weakref.ref(p.data) for p in args[0])
+            return fn(*args)
+
+        with observe_ops(record):
+            z = forward(x, SMALL, params)
+        assert len(arrays) == 8 * 3 + 4 * (2 + 3)
+        assert [ref() for ref in arrays] == [None] * len(arrays)
+        z.mean().backward()
+
     def test_graph_dropped_without_backward_frees_its_memory(self):
         config = ModelConfig()
         params = build_params(config, 20)
@@ -420,12 +438,16 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert z.requires_grad
-        assert live <= 33 << 20  # 39.8 MiB when each concat part kept its own array
+        # 27.2 MiB; 30.3 when the encoder convs kept the skips' arrays, 39.8 when
+        # each concat part kept its own array
+        assert live <= 28 << 20
 
-    def test_no_grad_forward_peak_per_pixel(self):
+    @staticmethod
+    def no_grad_peak_per_pixel(size):
         config = ModelConfig()
         params = build_params(config, 22)
-        x = Tensor(rng.uniform(35, 3 * 256 * 256).reshape(1, 3, 256, 256).astype(np.float32))
+        x = Tensor(rng.uniform(35, 3 * size * size).reshape(1, 3, size, size).astype(np.float32))
+        assert size * size > model._BAND_PIXELS  # both banded stages run in bands
         with no_grad():
             forward(x, config, params)  # plans and caches
             tracemalloc.start()
@@ -435,7 +457,17 @@ class TestMemoryGuard:
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
-        assert peak <= 190 * 256 * 256  # 213 B/px when blocks kept their branches to the end
+        return peak / (size * size)
+
+    def test_no_grad_forward_peak_per_pixel(self):
+        # 121.5 B/px; 186 before head -> enc1.red ran in bands and each band
+        # recomputed the head skip, 213 when blocks kept their branches to the end
+        assert self.no_grad_peak_per_pixel(256) <= 125
+
+    def test_no_grad_forward_peak_per_pixel_at_512(self):
+        # 97.0 B/px; 161 before head -> enc1.red ran in bands and each band
+        # recomputed the head skip
+        assert self.no_grad_peak_per_pixel(512) <= 100
 
 
 class TestBlockScope:
@@ -553,19 +585,19 @@ class TestSharedMaps:
 
 
 class TestRowBands:
-    """Under no_grad the full-resolution stage runs in row bands of the output."""
+    """Under no_grad, head -> enc1.red and the full-resolution stage run in row bands."""
 
     @pytest.fixture
-    def tails(self, monkeypatch):
-        """The input height of each `tail` call: one per band."""
-        heights = []
+    def heights(self):
+        """The input height of each conv call, by layer name: head and tail once per band."""
+        heights = collections.defaultdict(list)
 
-        def counting(x, spec, lp):
-            if lp.name == "tail":
-                heights.append(x.shape[2])
-            return conv2d(x, spec, lp)
-        monkeypatch.setattr(model, "conv2d", counting)
-        return heights
+        def recording(op, fn, args):
+            if op == "conv2d":
+                heights[args[2].name].append(args[0].shape[2])
+            return fn(*args)
+        with observe_ops(recording):
+            yield heights
 
     @staticmethod
     def banded(x_data, config, params, monkeypatch, band_pixels):
@@ -573,35 +605,46 @@ class TestRowBands:
         with no_grad():
             return forward(Tensor(x_data), config, params).data
 
+    @staticmethod
+    def band_heights(h, band_rows, halo):
+        """Rows each band of a stage reads: at least 4 halos of its own, a halo each side."""
+        rows = max(band_rows, 4 * halo, model._BAND_STEP) // model._BAND_STEP * model._BAND_STEP
+        return [min(r0 + rows + halo, h) - max(r0 - halo, 0) for r0 in range(0, h, rows)]
+
     @pytest.mark.parametrize("config, shape, band_rows", [
         (ModelConfig(), (1, 3, 336, 80), 64),  # five full bands and a short last one
         (ModelConfig(), (2, 3, 160, 96), 48),
         (ModelConfig(), (1, 3, 208, 32), 40),  # not a multiple of the band height
-        (dataclasses.replace(SMALL, kernel=5), (1, 3, 112, 16), 24),  # halo 6
+        (dataclasses.replace(SMALL, kernel=5), (1, 3, 112, 16), 24),  # halos 4 and 8
         (dataclasses.replace(SMALL, kernel=1), (1, 3, 32, 16), 2),  # no halo
+        (ModelConfig(), (1, 3, 64, 32), 32),  # two bands, one at each image edge
+        (ModelConfig(), (2, 3, 32, 16), 28),  # a last band of 4 rows
+        (dataclasses.replace(SMALL, dilation_rate=3), (1, 3, 96, 16), 32),  # halos 4 and 8
+        (dataclasses.replace(SMALL, kernel=7), (1, 3, 128, 16), 32),  # halos 8 and 12
     ])
-    def test_bands_equal_one_band(self, config, shape, band_rows, tails, monkeypatch):
+    def test_bands_equal_one_band(self, config, shape, band_rows, heights, monkeypatch):
         params = build_params(config, 17)
-        n, _, h, w = shape
+        h, w = shape[2:]
         x_data = rng.uniform(rng.hash64("bands", *shape), int(np.prod(shape))).reshape(
             shape).astype(np.float32)
         whole = self.banded(x_data, config, params, monkeypatch, h * w)
-        assert tails == [h]
-        tails.clear()
+        assert heights["head"] == heights["enc1.red.shortcut"] == heights["tail"] == [h]
+        heights.clear()
         banded = self.banded(x_data, config, params, monkeypatch, band_rows * w)
-        assert len(tails) == -(-h // band_rows)
-        assert max(tails) == band_rows + 2 * model._halo(config)
-        assert banded.shape == whole.shape and banded.dtype == whole.dtype
-        assert np.abs(banded - whole).max() <= 1e-6
-        for i in range(n):
-            assert np.array_equal(imageio.tensor_to_image(banded[i]),
-                                  imageio.tensor_to_image(whole[i]))
+        entry, full = (self.band_heights(h, band_rows, halo) for halo in model._halos(config))
+        assert len(full) > 1 and len(entry) > 1
+        assert heights["enc1.red.shortcut"] == entry
+        assert heights["tail"] == full
+        assert heights["head"] == entry + full  # the skip is recomputed in each band
+        assert banded.dtype == whole.dtype
+        assert np.array_equal(banded, whole)
 
     def test_halo_covers_dec4_inc_and_tail(self):
-        # the widest branch's reach plus tail's, rounded up to even
-        halos = [model._halo(ModelConfig(kernel=k, dilation_rate=d))
+        # per stage, its convs' reach rounded up to a multiple of 4: head and enc1.red's
+        # strided convs; head (each band recomputes the skip), dec4.inc's widest branch, tail
+        halos = [model._halos(ModelConfig(kernel=k, dilation_rate=d))
                  for k, d in ((3, 2), (3, 1), (5, 2), (2, 2), (1, 2))]
-        assert halos == [4, 2, 6, 2, 0]
+        assert halos == [(4, 4), (4, 4), (4, 8), (4, 4), (0, 0)]
 
     def test_full_resolution_concats_hold_one_band_and_its_halo(self, monkeypatch):
         config = ModelConfig()
@@ -621,16 +664,53 @@ class TestRowBands:
             forward(x, config, build_params(config, 18))
         # each band concats twice: dec4's skip and dec4.inc's branches
         assert len(heights) == 2 * -(-h // rows)
-        assert max(heights) <= rows + 2 * model._halo(config)
+        assert max(heights) <= rows + 2 * model._halos(config)[1]
 
-    def test_a_forward_that_records_a_graph_runs_one_band(self, tails, monkeypatch):
+    def test_head_and_enc1_red_calls_hold_one_band_and_its_halo(self):
+        config = ModelConfig()
+        h, w = 512, 128
+        rows = model._BAND_PIXELS // w
+        assert rows < h  # the default budget bands this image
+        calls = []
+
+        def recording(op, fn, args):
+            name = args[2].name if op == "conv2d" else ""
+            if name == "head" or name.startswith("enc1.red") or (
+                    op == "avg_pool2d" and args[0].shape[3] == w):
+                calls.append((name, args[0].shape[2] * w // args[0].shape[3]))  # image rows
+            return fn(*args)
+        x = Tensor(rng.uniform(36, 3 * h * w).reshape(1, 3, h, w).astype(np.float32))
+        with no_grad(), observe_ops(recording):
+            forward(x, config, build_params(config, 23))
+        entry_halo, full_halo = model._halos(config)
+        heads = [rows_in for name, rows_in in calls if name == "head"]
+        entry = [rows_in for name, rows_in in calls if name != "head"]
+        assert len(heads) == 2 * -(-h // rows)  # once per band of each stage
+        assert len(entry) == 5 * -(-h // rows)  # b1, b2, the pooling, reduce, shortcut
+        assert max(heads) <= rows + 2 * full_halo
+        assert max(entry) <= rows + 2 * entry_halo
+
+    def test_a_forward_that_records_a_graph_runs_one_band(self, heights, monkeypatch):
         params = build_params(SMALL, 19)
         x_data = rng.uniform(30, 3 * 64 * 16).reshape(1, 3, 64, 16).astype(np.float32)
         monkeypatch.setattr(model, "_BAND_PIXELS", 16 * 16)
         z = forward(Tensor(x_data), SMALL, params)
-        assert tails == [64] and z.requires_grad
+        assert heights["head"] == heights["tail"] == [64] and z.requires_grad
         banded = self.banded(x_data, SMALL, params, monkeypatch, 16 * 16)
-        assert len(tails) > 2 and np.abs(banded - z.data).max() <= 1e-6
+        assert len(heights["tail"]) > 2 and np.array_equal(banded, z.data)
+
+    def test_a_graph_through_the_tail_alone_runs_one_band(self, heights, monkeypatch):
+        # the decision is made before head runs, from every parameter: a graph
+        # that starts at tail still records
+        params = build_params(SMALL, 20)
+        for name, t in params.named_tensors().items():
+            t.requires_grad = name.startswith("tail.")
+        x_data = rng.uniform(37, 3 * 64 * 16).reshape(1, 3, 64, 16).astype(np.float32)
+        monkeypatch.setattr(model, "_BAND_PIXELS", 16 * 16)
+        z = forward(Tensor(x_data), SMALL, params)
+        assert heights["tail"] == [64] and z.requires_grad
+        z.mean().backward()
+        assert params["tail"].weight.grad is not None and params["head"].weight.grad is None
 
 
 class TestParamCount:

@@ -4,7 +4,8 @@ import pytest
 from irunet import rng, tensor
 from irunet.metrics import mae_loss
 from irunet.model import ModelConfig, build_params, forward
-from irunet.tensor import Tensor, _walked, concat_channels, no_grad, observe_ops
+from irunet.tensor import (Tensor, _walked, concat_channels, no_grad, observe_ops,
+                           records_graph)
 
 from conftest import received_grads
 
@@ -187,6 +188,14 @@ class TestBackward:
         with no_grad():
             out = (x * x).sum()
         assert not out.requires_grad
+
+    def test_records_graph_is_the_rule_every_op_follows(self):
+        leaf, const = rand64(10, (2, 2)), Tensor(np.ones((2, 2)), dtype=np.float64)
+        assert not records_graph([])
+        for a, b in ((const, const), (const, leaf), (leaf, leaf)):
+            assert records_graph([a, b]) == (a * b).requires_grad == (leaf in (a, b))
+            with no_grad():
+                assert not records_graph([a, b]) and not (a * b).requires_grad
 
 
 class TestConcatChannels:
