@@ -29,10 +29,11 @@ of the stage's convs (head's and the strided convs' at head -> enc1.red;
 head's, dec4.inc's dilated branch's and tail's at full resolution), rounded
 up to _BAND_STEP: 4 rows for both at the default kernel 3 and dilation 2. A
 band at the top or bottom of the image has no halo on that side, so image
-edges keep their zero padding. The output is bit-identical to one pass over
-the whole image on every shape tried (see _BAND_STEP). An observer installed
-with tensor.observe_ops sees head once per band of each stage, and the
-enc1.red layers once per band of the first.
+edges keep their zero padding. For the default float32 model the output is
+bit-identical to one pass over the whole image on every shape tried (see
+_BAND_STEP and the README's BLAS note). An observer installed with
+tensor.observe_ops sees head once per band of each stage, and the enc1.red
+layers once per band of the first.
 
 An image that fits in one band, and any forward that records a graph, runs
 the plain layer sequence: head once, its output kept as dec4's skip.
