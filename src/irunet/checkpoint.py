@@ -186,6 +186,7 @@ def save_training_checkpoint(params: ParamStore, config: ModelConfig,
 
 @dataclass
 class LoadedCheckpoint:
+    path: object  # the file it was read from, named in errors about its contents
     config: ModelConfig
     params: ParamStore
     state: AdamState | None
@@ -263,4 +264,4 @@ def load_checkpoint(path) -> LoadedCheckpoint:
                           v={name: moments[f"{name}.v"] for name in shapes}, t=step)
     if r.remaining() != 0:
         raise CheckpointError(f"{path}: {r.remaining()} trailing bytes after payload")
-    return LoadedCheckpoint(config=config, params=params, state=state)
+    return LoadedCheckpoint(path=path, config=config, params=params, state=state)

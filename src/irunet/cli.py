@@ -20,7 +20,7 @@ from .metrics import evaluate_model
 from .model import ModelConfig, check_image_size, forward, layer_specs, param_count
 from .noise import NoiseSpec, corrupt
 from .tensor import no_grad
-from .train import NonFiniteLossError, TrainConfig, check_resume, train_from
+from .train import NonFiniteLossError, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -75,11 +75,11 @@ def cmd_corrupt(args) -> int:
 class _RunLog:
     """A run's `train.log`, opened, and headed, at the first line the run logs.
 
-    A fresh run creates the file, a resumed one appends to it. Leaving the
-    block normally (a finished run, or an abort) writes the header of a run
-    that logged no step. Leaving it by an exception does not, so a run that
-    failed on its input before its first step leaves no new file, and a
-    resumed log byte-identical.
+    A fresh run creates the file, and its directory, a resumed one appends
+    to it. Leaving the block normally (a finished run, or an abort) writes
+    the header of a run that logged no step. Leaving it by an exception does
+    not, so a run that failed on its input before its first step leaves no
+    new file, and a resumed log byte-identical.
     """
 
     def __init__(self, path: str, mode: str, header: str):
@@ -88,6 +88,7 @@ class _RunLog:
 
     def write(self, text: str) -> None:
         if self._file is None:
+            os.makedirs(os.path.dirname(self._path), exist_ok=True)
             self._file = open(self._path, self._mode, encoding="utf-8")
             self._file.write(self._header)
         self._file.write(text)
@@ -112,22 +113,19 @@ def cmd_train(args) -> int:
     values = load_run_config(args.config, args.set, model=resumed)
     model_config = build_config(ModelConfig, values)
     train_config = build_config(TrainConfig, values)
-    if loaded is not None:
-        check_resume(loaded, model_config, train_config.max_steps, args.resume)
     manifest = DatasetManifest.load(args.manifest)
-    os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train.log")
     header = "".join(f"# {line}\n" for line in echo_lines(model_config, train_config))
     sys.stdout.write(header)
     # a resumed run continues the log: each segment opens with its own header
     with _RunLog(log_path, "w" if args.resume is None else "a", header) as log:
         try:
-            result = train_from(model_config, train_config, manifest, args.out,
-                                loaded, log_stream=log)
+            result = train(model_config, train_config, manifest, args.out,
+                           start=loaded, log_stream=log)
         except NonFiniteLossError as e:
             print(f"ABORT: {e}", file=sys.stderr)
             return EXIT_ABORT
-    print(f"trained {result.steps_run} step(s); final checkpoint {result.final_checkpoint}")
+    print(f"trained {len(result.losses)} step(s); final checkpoint {result.final_checkpoint}")
     print(f"log written to {log_path}")
     return EXIT_OK
 
@@ -140,6 +138,7 @@ def _denoise_one(params, config, in_path, out_path) -> float:
     with no_grad():
         z = forward(x, config, params)
     elapsed = time.perf_counter() - start
+    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     imageio.save_image(imageio.tensor_to_image(z), out_path)
     return elapsed
 
@@ -153,7 +152,6 @@ def cmd_denoise(args) -> int:
                    and not n.lower().endswith(IMAGE_EXTENSIONS)]
         if not names:
             raise UsageError(f"no supported images (png/ppm) in {args.input}")
-        os.makedirs(args.output, exist_ok=True)
         for name in names:
             seconds = _denoise_one(loaded.params, loaded.config,
                                    os.path.join(args.input, name),
@@ -165,8 +163,6 @@ def cmd_denoise(args) -> int:
     else:
         if not os.path.isfile(args.input):
             raise UsageError(f"input not found: {args.input}")
-        parent = os.path.dirname(os.path.abspath(args.output))
-        os.makedirs(parent, exist_ok=True)
         seconds = _denoise_one(loaded.params, loaded.config, args.input, args.output)
         print(f"{args.input}: {seconds:.3f}s")
     return EXIT_OK

@@ -81,6 +81,8 @@ def load_run_config(config_path=None, overrides: list[str] | None = None,
                 lines = f.readlines()
         except OSError as e:
             raise ConfigError(f"cannot read config file {config_path}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{config_path}: not UTF-8 text ({e.reason})") from None
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

@@ -118,10 +118,12 @@ _COLOR_TYPE_NAMES = {0: "grayscale", 3: "palette", 4: "grayscale+alpha", 6: "RGB
 
 
 def _load_png(buf: bytes, path) -> np.ndarray:
-    width = height = None
     idat = bytearray()
     seen_iend = False
-    for ctype, data in _png_chunks(buf, path):
+    for i, (ctype, data) in enumerate(_png_chunks(buf, path)):
+        if (ctype == b"IHDR") != (i == 0):
+            raise ImageFormatError(f"{path}: chunk {i} is {ctype!r}, but IHDR must be "
+                                   f"first and only once")
         if ctype == b"IHDR":
             if len(data) != 13:
                 raise ImageFormatError(f"{path}: IHDR chunk has {len(data)} bytes, expected 13")
@@ -141,8 +143,6 @@ def _load_png(buf: bytes, path) -> np.ndarray:
             idat.extend(data)
         elif ctype == b"IEND":
             seen_iend = True
-    if width is None:
-        raise ImageFormatError(f"{path}: missing IHDR")
     if not seen_iend or not idat:
         raise ImageFormatError(f"{path}: missing image data")
     # one byte past the pixel data shows too much without inflating the rest;

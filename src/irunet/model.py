@@ -250,19 +250,19 @@ def _halos(config: ModelConfig) -> tuple[int, int]:
 
 
 def _in_bands(stage: Callable[[list[Tensor]], Tensor], maps: list[Tensor],
-              scales: tuple[int, ...], halo: int, whole: bool) -> Tensor:
+              halo: int, whole: bool) -> Tensor:
     """stage(maps) in row bands of the image, or in one call if `whole` or it fits one band.
 
-    Each map covers the image at 1/scale of its rows. A band owns `rows` image
-    rows and reads `halo` more on each side, where the image has them, as
-    views of every map; it writes only its own rows of the output, whose scale
-    it reads off the stage's output. Rows and halo are multiples of
+    maps[0] covers the image at full resolution, each other map at a fraction
+    of the image's rows that divides every band edge. A band owns `rows`
+    image rows and reads `halo` more on each side, where the image has them,
+    as views of every map; it writes only its own rows of the output, whose
+    scale it reads off the stage's output. Rows and halo are multiples of
     _BAND_STEP, and a band owns at least 4 halos, so the halos at most add
     half of its rows. The stage may consume the list it is given, so one call
     frees each map after its last use unless something else holds it.
     """
     n, _, h, w = maps[0].shape
-    h, w = h * scales[0], w * scales[0]
     rows = max(_BAND_PIXELS // w, 4 * halo, _BAND_STEP) // _BAND_STEP * _BAND_STEP
     if whole or rows >= h:
         return stage(maps)
@@ -270,8 +270,8 @@ def _in_bands(stage: Callable[[list[Tensor]], Tensor], maps: list[Tensor],
     for r0 in range(0, h, rows):
         e0, e1 = max(r0 - halo, 0), min(r0 + rows + halo, h)
         # views of the band's rows of each map: Tensor() would copy them contiguous
-        z = stage([Tensor._make(m.data[:, :, e0 // s:e1 // s], (), None)
-                   for m, s in zip(maps, scales)])
+        z = stage([Tensor._make(m.data[:, :, e0 * m.shape[2] // h:e1 * m.shape[2] // h], (), None)
+                   for m in maps])
         s = (e1 - e0) // z.shape[2]
         if out is None:
             out = np.empty((n, z.shape[1], h // s, z.shape[3]), dtype=z.dtype)
@@ -331,7 +331,7 @@ def forward(x: Tensor, config: ModelConfig, params: ParamStore) -> Tensor:
 
     # the skips, or x for the head skip, and on top the map the decoder stages run on
     maps = [_apply(x, params["head"]) if whole else x]
-    cur = inception_block(_in_bands(encoder_entry, maps[:1], (1,), entry_halo, whole), params,
+    cur = inception_block(_in_bands(encoder_entry, maps[:1], entry_halo, whole), params,
                           "enc1.inc")
     maps.append(cur)
     for i in range(2, 5):
@@ -341,4 +341,4 @@ def forward(x: Tensor, config: ModelConfig, params: ParamStore) -> Tensor:
 
     for i in range(1, 4):
         maps.append(_decoder_stage(maps, params, f"dec{i}"))
-    return _in_bands(full_resolution, maps, (1, 2), full_halo, whole)
+    return _in_bands(full_resolution, maps, full_halo, whole)

@@ -31,9 +31,9 @@ def raw_uint64(seed: int, start: int, count: int) -> np.ndarray:
         return _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN)
 
 
-def uniform(seed: int, count: int, start: int = 0) -> np.ndarray:
+def uniform(seed: int, count: int) -> np.ndarray:
     """Uniform float64 draws in [0, 1)."""
-    return (raw_uint64(seed, start, count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    return (raw_uint64(seed, 0, count) >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def gaussian(seed: int, count: int) -> np.ndarray:

@@ -37,7 +37,6 @@ class NonFiniteLossError(RuntimeError):
 class TrainResult:
     losses: list[float] = field(default_factory=list)
     final_checkpoint: str | None = None
-    steps_run: int = 0
 
 
 def _abort_saving_last_good(what: str, step: int, params: ParamStore, config: ModelConfig,
@@ -50,15 +49,15 @@ def _abort_saving_last_good(what: str, step: int, params: ParamStore, config: Mo
         checkpoint_path=path)
 
 
-def check_resume(start: checkpoint.LoadedCheckpoint, model_config: ModelConfig,
-                 max_steps: int, path) -> None:
-    """Reject a checkpoint a run cannot continue from, before anything is written.
+def _check_resume(start: checkpoint.LoadedCheckpoint, model_config: ModelConfig,
+                  max_steps: int) -> None:
+    """Reject a checkpoint a run cannot continue from.
 
     It needs optimizer state, and a step no later than max_steps: a run resumed
     past its end would save the checkpoint's state under an earlier step's name.
     Training runs the checkpoint's architecture, so model_config must equal it.
     """
-    state = start.state
+    path, state = start.path, start.state
     if state is None:
         raise ValueError(f"{path}: not a training checkpoint (no optimizer state)")
     if max_steps < state.t:
@@ -74,37 +73,27 @@ def check_resume(start: checkpoint.LoadedCheckpoint, model_config: ModelConfig,
 
 def train(model_config: ModelConfig, train_config: TrainConfig,
           manifest: DatasetManifest, out_dir,
-          resume: str | None = None, log_stream=None) -> TrainResult:
-    """train_from() with the training checkpoint at path resume, if one is given."""
-    start = None
-    if resume is not None:
-        start = checkpoint.load_checkpoint(resume)
-        check_resume(start, model_config, train_config.max_steps, resume)
-    return train_from(model_config, train_config, manifest, out_dir, start, log_stream)
-
-
-def train_from(model_config: ModelConfig, train_config: TrainConfig,
-               manifest: DatasetManifest, out_dir,
-               start: checkpoint.LoadedCheckpoint | None, log_stream=None) -> TrainResult:
+          start: checkpoint.LoadedCheckpoint | None = None, log_stream=None) -> TrainResult:
     """Run Adam on MAE over the train split; write logs and checkpoints.
 
-    A run continues from start, a training checkpoint that passed
-    check_resume, in its architecture; with start None it begins at step 0
-    from init_seed. Log lines are `step<TAB>loss<TAB>seconds`, flushed per
+    A run continues from start, a loaded training checkpoint, in its
+    architecture; with start None it begins at step 0 from init_seed. A
+    checkpoint the run cannot continue from raises ValueError before anything
+    is written. Log lines are `step<TAB>loss<TAB>seconds`, flushed per
     step. Checkpoints (with optimizer state) land in out_dir every
     checkpoint_every steps and at the end. A non-finite loss or parameter
     aborts with the last good parameters saved alongside a diagnostic.
     """
+    if start is None:
+        params = build_params(model_config, train_config.init_seed)
+        state = AdamState.initial(params)
+    else:
+        _check_resume(start, model_config, train_config.max_steps)
+        params, state = start.params, start.state
     train_config.validate()
     rows = manifest.split_rows("train")
     if not rows:
         raise ValueError("manifest has no train rows")
-
-    if start is not None:
-        params, state, model_config = start.params, start.state, start.config
-    else:
-        params = build_params(model_config, train_config.init_seed)
-        state = AdamState.initial(params)
     os.makedirs(out_dir, exist_ok=True)
 
     log = log_stream if log_stream is not None else sys.stdout
@@ -145,7 +134,6 @@ def train_from(model_config: ModelConfig, train_config: TrainConfig,
                 f"non-finite parameter after step {step}", checkpoint_path=None)
 
         result.losses.append(loss_value)
-        result.steps_run += 1
         log.write(f"{step}\t{loss_value!r}\t{time.perf_counter() - t0:.3f}\n")
         log.flush()
 

@@ -230,7 +230,7 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
 
     train(TINY, tc(5, every=5), manifest, tmp_path / "half", log_stream=io.StringIO())
     resumed = train(TINY, tc(10), manifest, tmp_path / "resumed",
-                    resume=str(tmp_path / "half" / "step000005.ckpt"),
+                    start=load_checkpoint(tmp_path / "half" / "step000005.ckpt"),
                     log_stream=io.StringIO())
     assert resumed.losses == run_a.losses[5:]  # resume matches uninterrupted trace
     _report("criterion 8 (determinism & persistence)",

@@ -1,9 +1,11 @@
+import importlib
 import os
 
 import numpy as np
 import pytest
 
 from irunet import model
+from irunet.checkpoint import load_checkpoint
 from irunet.cli import main
 from irunet.data import DatasetManifest
 from irunet.imageio import load_image, save_image
@@ -351,6 +353,21 @@ class TestDenoiseEvaluate:
         assert code == 2
         assert "pad" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("directory_mode", [True, False], ids=["directory", "file"])
+    def test_denoise_rejected_input_creates_no_output_directory(self, tmp_path, trained, capsys,
+                                                                directory_mode):
+        _, ckpt = trained
+        src = tmp_path / "in" / "small.png"
+        src.parent.mkdir()
+        save_image(synth_image(5, size=20), src)
+        out = tmp_path / "new"
+        code = run_cli(["denoise", "--checkpoint", str(ckpt),
+                        "--input", str(src.parent if directory_mode else src),
+                        "--output", str(out if directory_mode else out / "small.png")])
+        assert code == 2
+        assert "20x20 not divisible by 16" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_denoise_directory_with_summary(self, tmp_path, trained, capsys):
         _, ckpt = trained
         src_dir = tmp_path / "batch"
@@ -445,6 +462,12 @@ class TestParamsAndGradcheck:
         assert run_cli(["params", "--config", str(cfg)]) == 2
         assert "width" in capsys.readouterr().err
 
+    def test_params_non_utf8_config_exits_2_naming_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"kernel=3\n\xff\n")
+        assert run_cli(["params", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text (invalid start byte)\n"
+
     def test_gradcheck_layer_exits_0(self, capsys):
         assert run_cli(["gradcheck", "--level", "layer"]) == 0
         out = capsys.readouterr().out
@@ -466,16 +489,19 @@ class TestParamsAndGradcheck:
 
 class TestAbortExitCode:
     def test_non_finite_loss_exits_3(self, tmp_path, monkeypatch, capsys):
-        import irunet.cli as cli_mod
-        from irunet.train import NonFiniteLossError
+        # the package re-exports the train() function under the module's name
+        train_mod = importlib.import_module("irunet.train")
+        from irunet.tensor import Tensor
 
         _, _, manifest_path = corrupt_corpus(tmp_path, count=2, size=16)
-
-        def exploding_train(*args, **kwargs):
-            raise NonFiniteLossError("non-finite loss at step 0")
-
-        monkeypatch.setattr(cli_mod, "train_from", exploding_train)
-        code = run_cli(["train", "--manifest", str(manifest_path),
-                        "--out", str(tmp_path / "boom")])
+        monkeypatch.setattr(train_mod, "mae_loss",
+                            lambda z, x: Tensor(np.array(np.nan, dtype=np.float32)))
+        capsys.readouterr()
+        code, out = train_tiny(tmp_path, manifest_path)
         assert code == 3
-        assert "ABORT" in capsys.readouterr().err
+        out_text, err = capsys.readouterr()
+        assert f"ABORT: non-finite loss at step 0; last good parameters saved to " \
+               f"{out / 'abort_last_good.ckpt'}" in err
+        assert load_checkpoint(out / "abort_last_good.ckpt").state.t == 0
+        assert (out / "train.log").read_text() == out_text  # the header, and no step line
+        assert out_text and all(line.startswith("# ") for line in out_text.splitlines())

@@ -194,6 +194,23 @@ class TestPngDecoding:
         with pytest.raises(ImageFormatError, match=f"ihdr.png: IHDR chunk has {size} bytes"):
             load_image(path)
 
+    @pytest.mark.parametrize("dims, order, bad", [
+        ([(2, 1)], ("IDAT", "IHDR0"), "chunk 0 is b'IDAT'"),
+        ([(2, 1), (1, 2)], ("IHDR0", "IHDR1", "IDAT"), "chunk 1 is b'IHDR'")],
+        ids=["idat_first", "two_ihdr"])
+    def test_ihdr_must_be_the_first_chunk_and_the_only_one(self, tmp_path, dims, order, bad):
+        # each file decodes if the reader takes every IHDR it meets, the last one winning
+        w, h = dims[-1]
+        chunks = {f"IHDR{i}": png_chunk(b"IHDR", struct.pack(">IIBBBBB", *d, 8, 2, 0, 0, 0))
+                  for i, d in enumerate(dims)}
+        chunks["IDAT"] = png_chunk(b"IDAT", zlib.compress(b"".join(
+            b"\0" + bytes(range(3 * w)) for _ in range(h))))
+        path = tmp_path / "order.png"
+        path.write_bytes(PNG_SIGNATURE + b"".join(chunks[c] for c in order)
+                         + png_chunk(b"IEND", b""))
+        with pytest.raises(ImageFormatError, match=f"order.png: {bad}, but IHDR must be first"):
+            load_image(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "mystery.dat"
         path.write_bytes(b"GIF89a not supported here")

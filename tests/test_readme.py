@@ -1,20 +1,40 @@
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import irunet
+from irunet.config import TrainConfig, load_run_config
 from irunet.imageio import save_image
+from irunet.model import ModelConfig
 
 from conftest import synth_image
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def section(title: str) -> str:
+    """The README's `## title` section, up to the next one."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"## {title}")
+    return text[start:text.index("\n## ", start)]
+
+
 def library_snippets() -> list[str]:
     """Every python block of the README's "Library use" section, in order."""
-    text = README.read_text(encoding="utf-8")
-    start = text.index("## Library use")
-    section = text[start:text.index("\n## ", start)]
-    return re.findall(r"```python\n(.*?)```", section, re.S)
+    return re.findall(r"```python\n(.*?)```", section("Library use"), re.S)
+
+
+def test_config_table_lists_every_field_with_its_default():
+    rows = []  # (key, default as the table spells it)
+    for keys, defaults in re.findall(r"^\| (`.*?) \| (.*?) \|", section("Configuration keys"),
+                                     re.M):
+        names, values = re.findall(r"`(\w+)`", keys), defaults.split(", ")
+        assert len(names) == len(values), keys
+        rows.extend(zip(names, values))
+    defaults = {**asdict(ModelConfig()), **asdict(TrainConfig())}
+    assert sorted(key for key, _ in rows) == sorted(defaults)
+    # parsed as the config file parses each value
+    assert load_run_config(overrides=[f"{k}={v}" for k, v in rows]) == defaults
 
 
 def test_library_use_snippet_runs_as_written(tmp_path, monkeypatch):

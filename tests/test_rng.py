@@ -19,7 +19,7 @@ class TestGoldenStreams:
         expected = ["0x1.7bae644c5fd6dp-1", "0x1.477f199d93378p-3", "0x1.1d499d5c4c3e6p-2",
                     "0x1.607387fc392b8p-2"]
         assert [float(v).hex() for v in rng.uniform(42, 4)] == expected
-        assert [float(v).hex() for v in rng.uniform(42, 2, start=3)] == [
+        assert [float(v).hex() for v in rng.uniform(42, 5)[3:]] == [
             "0x1.607387fc392b8p-2", "0x1.378b0b4489040p-5"]
 
     def test_gaussian(self):

@@ -78,7 +78,7 @@ class TestTrainLoop:
         train(TINY, tconf(max_steps=4, checkpoint_every=4), tiny_manifest,
               tmp_path / "half", log_stream=io.StringIO())
         resumed = train(TINY, tconf(), tiny_manifest, tmp_path / "resumed",
-                        resume=str(tmp_path / "half" / "step000004.ckpt"),
+                        start=load_checkpoint(tmp_path / "half" / "step000004.ckpt"),
                         log_stream=io.StringIO())
         assert resumed.losses == full.losses[4:]
 
@@ -94,7 +94,7 @@ class TestTrainLoop:
         path = tmp_path / "model_only.ckpt"
         save_checkpoint(build_params(TINY, 1), TINY, path)
         with pytest.raises(ValueError, match="optimizer state"):
-            train(TINY, tconf(), tiny_manifest, tmp_path / "r", resume=str(path),
+            train(TINY, tconf(), tiny_manifest, tmp_path / "r", start=load_checkpoint(path),
                   log_stream=io.StringIO())
 
     def test_empty_train_split_rejected(self, tmp_path):
@@ -131,11 +131,11 @@ class TestTrainLoop:
         before = {name: (out / name).read_bytes() for name in os.listdir(out)}
         with pytest.raises(ValueError, match="step 10, past max_steps 5"):
             train(TINY, tconf(max_steps=5, checkpoint_every=5), tiny_manifest, out,
-                  resume=str(out / "step000010.ckpt"), log_stream=io.StringIO())
+                  start=load_checkpoint(out / "step000010.ckpt"), log_stream=io.StringIO())
         assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
         with pytest.raises(ValueError, match="max_steps"):
             train(TINY, tconf(max_steps=5), tiny_manifest, tmp_path / "new",
-                  resume=str(out / "step000010.ckpt"), log_stream=io.StringIO())
+                  start=load_checkpoint(out / "step000010.ckpt"), log_stream=io.StringIO())
         assert not (tmp_path / "new").exists()
 
     def test_resume_with_conflicting_model_config_rejected_before_writing(self, tiny_manifest,
@@ -144,7 +144,7 @@ class TestTrainLoop:
         train(TINY, tconf(max_steps=4), tiny_manifest, out, log_stream=io.StringIO())
         with pytest.raises(ValueError, match="model config differs") as err:
             train(ModelConfig(), tconf(), tiny_manifest, tmp_path / "new",
-                  resume=str(out / "step000004.ckpt"), log_stream=io.StringIO())
+                  start=load_checkpoint(out / "step000004.ckpt"), log_stream=io.StringIO())
         assert "base_width=16 (checkpoint: 2)" in str(err.value)
         assert not (tmp_path / "new").exists()
 
