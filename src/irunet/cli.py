@@ -76,10 +76,11 @@ class _RunLog:
     """A run's `train.log`, opened, and headed, at the first line the run logs.
 
     A fresh run creates the file, and its directory, a resumed one appends
-    to it. Leaving the block normally (a finished run, or an abort) writes
-    the header of a run that logged no step. Leaving it by an exception does
-    not, so a run that failed on its input before its first step leaves no
-    new file, and a resumed log byte-identical.
+    to it. The header also goes to stdout then. Leaving the block normally (a
+    finished run, or an abort) writes the header of a run that logged no
+    step. Leaving it by an exception does not, so a run rejected at its start
+    or failing on its input before its first step prints no header, leaves
+    no new file, and leaves a resumed log byte-identical.
     """
 
     def __init__(self, path: str, mode: str, header: str):
@@ -91,6 +92,7 @@ class _RunLog:
             os.makedirs(os.path.dirname(self._path), exist_ok=True)
             self._file = open(self._path, self._mode, encoding="utf-8")
             self._file.write(self._header)
+            sys.stdout.write(self._header)
         self._file.write(text)
 
     def flush(self) -> None:
@@ -116,7 +118,6 @@ def cmd_train(args) -> int:
     manifest = DatasetManifest.load(args.manifest)
     log_path = os.path.join(args.out, "train.log")
     header = "".join(f"# {line}\n" for line in echo_lines(model_config, train_config))
-    sys.stdout.write(header)
     # a resumed run continues the log: each segment opens with its own header
     with _RunLog(log_path, "w" if args.resume is None else "a", header) as log:
         try:

@@ -143,6 +143,9 @@ def _load_png(buf: bytes, path) -> np.ndarray:
             idat.extend(data)
         elif ctype == b"IEND":
             seen_iend = True
+        elif ctype[:1].isupper() and ctype != b"PLTE":
+            # a critical chunk (upper-case first letter) a decoder must not skip
+            raise ImageFormatError(f"{path}: unknown critical PNG chunk {ctype!r}")
     if not seen_iend or not idat:
         raise ImageFormatError(f"{path}: missing image data")
     # one byte past the pixel data shows too much without inflating the rest;

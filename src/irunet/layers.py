@@ -53,6 +53,8 @@ The pre-activation is not kept, and the mask comes from the output tensor's
 data at backward time, reached through a weak reference: a concat may have
 rebound that data to a view of its own output (tensor.concat_channels), and a
 strong reference from the closure to its own node would make a cycle.
+release() frees a recorded output's values once no backward but its own reads
+them, and a relu-fused output then keeps only its mask, packed 8 per byte.
 Plans are memoized per input size, channel count and geometry, and one
 backward builds the pitched output gradient once for both the input and
 weight gradients. The gradients the backward passes allocate (input,
@@ -571,7 +573,7 @@ def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if spec.relu:
-            g = g * (out_ref().data > 0)
+            g = g * mask.get(g.shape)
         gp = _pitched(g, plan)
         if x.requires_grad:
             x.accumulate_grad(_conv2d_grad_x(gp, weight.data, x.shape, plan), owned=True)
@@ -580,8 +582,46 @@ def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(0, 2, 3)), owned=True)
     out = Tensor._make(y, (x, weight, bias), backward)
-    out_ref = weakref.ref(out)
+    if spec.relu:
+        mask = _ReluMask(out)
     return out
+
+
+class _ReluMask(weakref.ref):
+    """A relu-fused conv's backward mask, output > 0, read through a weak reference to the output.
+
+    Until release() frees the output's values, the mask is read from its data
+    at backward time; release() packs it into `bits` first.
+    """
+
+    __slots__ = ("bits",)
+
+    def __init__(self, out: Tensor):
+        super().__init__(out)
+        self.bits: np.ndarray | None = None
+
+    def get(self, shape) -> np.ndarray:
+        if self.bits is None:
+            return self().data > 0
+        return np.unpackbits(self.bits, count=int(np.prod(shape))).reshape(shape).view(bool)
+
+
+def release(t: Tensor) -> None:
+    """Free the values of op output t, whose consumers have all run, if t recorded a graph.
+
+    Call it on an output that no backward but its own reads: a residual add's
+    addends, or the tail read only by the sigmoid. A relu-fused conv's output
+    keeps its relu mask as bits. The values become an empty array of t's
+    dtype, so t's gradient keeps that precision and a stray reader fails on
+    the shape. A tensor that recorded no graph (no_grad, or a leaf) keeps its
+    values.
+    """
+    if t._backward is None:
+        return
+    for ref in weakref.getweakrefs(t):
+        if isinstance(ref, _ReluMask):
+            ref.bits = np.packbits(t.data > 0)
+    t.data = np.empty(0, dtype=t.dtype)
 
 
 @observed("transposed_conv2d")

@@ -204,10 +204,15 @@ def inception_block(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
     """Three parallel 3x3 branches (one dilated), concat, 1x1 reduce, residual add.
 
     The branches and their concat are temporaries, so under no_grad each is
-    freed as soon as the next layer has read it.
+    freed as soon as the next layer has read it. In a recorded graph the add
+    reads neither addend in backward, so the 1x1 reduce output keeps only its
+    relu mask (layers.release); x stays, since the branches rebuild its maps.
     """
-    return _apply(concat_channels(_branches(x, params, prefix, ("b1", "b2", "b3"))),
-                  params[f"{prefix}.reduce"]) + x
+    main = _apply(concat_channels(_branches(x, params, prefix, ("b1", "b2", "b3"))),
+                  params[f"{prefix}.reduce"])
+    out = main + x
+    layers.release(main)
+    return out
 
 
 def inception_reduction_block(x: Tensor, params: ParamStore, prefix: str) -> Tensor:
@@ -215,13 +220,18 @@ def inception_reduction_block(x: Tensor, params: ParamStore, prefix: str) -> Ten
 
     The shortcut is a 1x1 stride-2 projection so the residual add matches
     the halved resolution and the new channel count. As in inception_block,
-    the concat's parts are temporaries.
+    the concat's parts are temporaries, and a recorded graph releases both
+    addends after the add.
     """
     if x.shape[2] % 2 or x.shape[3] % 2:
         raise ValueError(f"reduction block needs even spatial extents, got {x.shape}")
     main = _apply(concat_channels(_branches(x, params, prefix, ("b1", "b2")) + [avg_pool2d(x)]),
                   params[f"{prefix}.reduce"])
-    return main + _apply(x, params[f"{prefix}.shortcut"])
+    shortcut = _apply(x, params[f"{prefix}.shortcut"])
+    out = main + shortcut
+    layers.release(main)
+    layers.release(shortcut)
+    return out
 
 
 def _decoder_stage(maps: list[Tensor], params: ParamStore, prefix: str) -> Tensor:
@@ -327,7 +337,10 @@ def forward(x: Tensor, config: ModelConfig, params: ParamStore) -> Tensor:
 
     def full_resolution(band: list[Tensor]) -> Tensor:  # band = [x or skip, dec3 output]
         band[0] = head(band[0])
-        return _apply(_decoder_stage(band, params, "dec4"), params["tail"]).sigmoid()
+        tail = _apply(_decoder_stage(band, params, "dec4"), params["tail"])
+        z = tail.sigmoid()
+        layers.release(tail)  # the sigmoid's backward reads only its own output
+        return z
 
     # the skips, or x for the head skip, and on top the map the decoder stages run on
     maps = [_apply(x, params["head"]) if whole else x]

@@ -120,9 +120,11 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise _abort_saving_last_good("loss", step, params, model_config, state, out_dir)
+        # the graph holds what backward reads, so the batch and output go first;
+        # step N's must not live through step N+1's forward either
+        del noisy, clean, z
         loss.backward()
-        # step N's batch and outputs must not live through step N+1's forward
-        del noisy, clean, z, loss
+        del loss
         tensors = params.named_tensors()
         if any(t.grad is not None and not np.all(np.isfinite(t.grad)) for t in tensors.values()):
             raise _abort_saving_last_good("gradient", step, params, model_config, state, out_dir)

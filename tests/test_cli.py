@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from irunet import model
-from irunet.checkpoint import load_checkpoint
+from irunet.checkpoint import load_checkpoint, save_checkpoint
 from irunet.cli import main
 from irunet.data import DatasetManifest
 from irunet.imageio import load_image, save_image
@@ -296,6 +296,43 @@ class TestTrain:
         assert code == 0
         appended = (out / "train.log").read_text()[len(log_before):]
         assert appended and all(line.startswith("# ") for line in appended.splitlines())
+
+    def test_accepted_run_prints_its_17_header_lines(self, tmp_path, capsys):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        capsys.readouterr()
+        code, out = train_tiny(tmp_path, manifest_path, max_steps=2)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = (out / "train.log").read_text().splitlines()[:17]
+        assert all(line.startswith("# ") for line in header)
+        assert lines == header + [
+            f"trained 2 step(s); final checkpoint {out / 'step000002.ckpt'}",
+            f"log written to {out / 'train.log'}"]
+
+    @pytest.mark.parametrize("rejection, message", [
+        ("no_state", "not a training checkpoint (no optimizer state)"),
+        ("past_max_steps", "checkpoint is at step 2, past max_steps 1"),
+        ("model_key", "base_width=8 (checkpoint: 2)")])
+    def test_rejected_resume_prints_nothing_on_stdout(self, tmp_path, capsys, rejection,
+                                                      message):
+        _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
+        code, out = train_tiny(tmp_path, manifest_path, max_steps=2)
+        assert code == 0
+        ckpt = out / "step000002.ckpt"
+        extra = {"no_state": [], "past_max_steps": ["--set", "max_steps=1"],
+                 "model_key": ["--set", "base_width=8"]}[rejection]
+        if rejection == "no_state":
+            loaded = load_checkpoint(ckpt)
+            ckpt = tmp_path / "params_only.ckpt"
+            save_checkpoint(loaded.params, loaded.config, ckpt)
+        capsys.readouterr()
+        code = run_cli(["train", "--manifest", str(manifest_path), "--out", str(tmp_path / "again"),
+                        "--resume", str(ckpt), *extra])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not (tmp_path / "again").exists()
 
     @pytest.mark.parametrize("setting", ["epsilon=inf", "learning_rate=nan"])
     def test_non_finite_train_float_exits_2_before_the_log(self, tmp_path, capsys, setting):

@@ -211,6 +211,24 @@ class TestPngDecoding:
         with pytest.raises(ImageFormatError, match=f"order.png: {bad}, but IHDR must be first"):
             load_image(path)
 
+    @pytest.mark.parametrize("ctype, critical", [
+        (b"ABCD", True), (b"IDOT", True), (b"abCD", False), (b"tEXt", False),
+        (b"PLTE", False)])
+    def test_unknown_critical_chunk_rejected_ancillary_and_plte_skipped(self, tmp_path, ctype,
+                                                                         critical):
+        img = random_rgb(7, 4, 4)
+        raw = b"".join(b"\0" + img[y].tobytes() for y in range(4))
+        ihdr = png_chunk(b"IHDR", struct.pack(">IIBBBBB", 4, 4, 8, 2, 0, 0, 0))
+        path = tmp_path / "extra.png"
+        path.write_bytes(PNG_SIGNATURE + ihdr + png_chunk(ctype, bytes(6))
+                         + png_chunk(b"IDAT", zlib.compress(raw)) + png_chunk(b"IEND", b""))
+        if critical:
+            with pytest.raises(ImageFormatError,
+                               match=f"extra.png: unknown critical PNG chunk {ctype!r}"):
+                load_image(path)
+        else:
+            assert np.array_equal(load_image(path), img)
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "mystery.dat"
         path.write_bytes(b"GIF89a not supported here")

@@ -603,6 +603,62 @@ class TestFusedRelu:
             ConvSpec(2, 2, kernel=2, stride=2, transposed=True, relu=True)
 
 
+class TestRelease:
+    """layers.release frees a recorded op output's values, keeping a relu conv's mask as bits."""
+
+    @staticmethod
+    def residual(x, relu_lp, plain_lp, release):
+        # a block's tail: relu-fused conv + plain conv, added, both addends then released
+        a, b = conv2d(x, relu_lp.spec, relu_lp), conv2d(x, plain_lp.spec, plain_lp)
+        out = a + b
+        if release:
+            layers.release(a)
+            layers.release(b)
+        return out, a, b
+
+    def test_gradients_bit_identical_after_release(self):
+        # 2 x 3 x 5 x 7 outputs: 210 mask bits, not a whole number of bytes
+        relu_lp = TestFusedRelu.layer(ConvSpec(3, 3, relu=True), 6)
+        plain_lp = TestFusedRelu.layer(ConvSpec(3, 3, kernel=1), 7)
+        grads = []
+        for release in (False, True):
+            x = rand64(rng.hash64("release", 1), (2, 3, 5, 7))
+            out, a, b = self.residual(x, relu_lp, plain_lp, release)
+            assert (a.data.shape, b.data.shape) == (((0,), (0,)) if release else (out.shape,) * 2)
+            proj = rand64(rng.hash64("release", 2), out.shape, requires_grad=False)
+            (out * proj).sum().backward()
+            grads.append([x.grad] + [t.grad for lp in (relu_lp, plain_lp)
+                                     for t in (lp.weight, lp.bias)])
+            for lp in (relu_lp, plain_lp):
+                lp.weight.zero_grad()
+                lp.bias.zero_grad()
+        assert np.any(grads[0][1] != 0)
+        for a, b in zip(*grads):
+            assert a.dtype == np.float64 and np.array_equal(a, b)
+
+    def test_reading_a_released_value_fails(self):
+        relu_lp = TestFusedRelu.layer(ConvSpec(3, 3, relu=True), 8)
+        plain_lp = TestFusedRelu.layer(ConvSpec(3, 3, kernel=1), 9)
+        out, a, b = self.residual(rand64(10, (1, 3, 4, 4)), relu_lp, plain_lp, True)
+        assert a.dtype == b.dtype == np.float64 and a.size == b.size == 0
+        with pytest.raises(ValueError, match="shape mismatch"):
+            a + out
+        with pytest.raises(ValueError, match=r"expected \[N,C,H,W\] input"):
+            conv2d(b, relu_lp.spec, relu_lp)
+
+    def test_no_grad_and_leaves_keep_their_values(self):
+        relu_lp = TestFusedRelu.layer(ConvSpec(3, 3, relu=True), 11)
+        plain_lp = TestFusedRelu.layer(ConvSpec(3, 3, kernel=1), 12)
+        x = rand64(13, (1, 3, 4, 4))
+        with no_grad():
+            out, a, b = self.residual(x, relu_lp, plain_lp, True)
+        assert not out.requires_grad
+        assert np.array_equal(a.data + b.data, out.data)
+        leaf = x.data.copy()
+        layers.release(x)
+        assert np.array_equal(x.data, leaf)
+
+
 class TestTransposedConv2d:
     def test_single_tap(self):
         spec = ConvSpec(1, 1, kernel=2, stride=2, transposed=True)

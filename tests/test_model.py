@@ -383,6 +383,41 @@ class TestActivationsStoredOnce:
         finally:
             gc.enable()
 
+    @staticmethod
+    def conv_outputs(x, params):
+        """forward() and each conv2d output in it, by layer name."""
+        outputs = {}
+
+        def record(op, fn, args):
+            out = fn(*args)
+            if op == "conv2d":
+                outputs[args[2].name] = out
+            return out
+
+        with observe_ops(record):
+            z = forward(x, SMALL, params)
+        return z, outputs
+
+    def test_recorded_forward_releases_residual_addends_and_tail(self):
+        params = build_params(SMALL, 18)
+        x = Tensor(rng.uniform(35, 2 * 3 * 32 * 32).reshape(2, 3, 32, 32).astype(np.float32))
+        z, outputs = self.conv_outputs(x, params)
+        released = sorted(name for name, out in outputs.items() if out.size == 0)
+        assert released == sorted(name for name, _ in layer_specs(SMALL)
+                                  if name.endswith((".reduce", ".shortcut")) or name == "tail")
+        assert all(outputs[name].dtype == np.float32 for name in released)
+        z.mean().backward()
+
+    def test_no_grad_forward_keeps_every_value(self):
+        params = build_params(SMALL, 18)
+        x = Tensor(rng.uniform(36, 3 * 32 * 32).reshape(1, 3, 32, 32).astype(np.float32))
+        with no_grad():
+            _, outputs = self.conv_outputs(x, params)
+        assert len(outputs) == len(layer_specs(SMALL)) - 4  # all but the transposed convs
+        assert all(out.ndim == 4 and out.size > 0 for out in outputs.values())
+        for name in ("enc1.red.shortcut", "dec4.inc.reduce", "tail"):
+            assert np.any(outputs[name].data != 0)
+
     def test_recorded_forward_frees_every_concat_part_array(self):
         # a skip's encoder convs rebuild its maps from the tensor in backward, so
         # its own array goes once the decoder's concat rebinds it to a view
@@ -438,9 +473,28 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert z.requires_grad
-        # 27.2 MiB; 30.3 when the encoder convs kept the skips' arrays, 39.8 when
-        # each concat part kept its own array
-        assert live <= 28 << 20
+        # 20.6 MiB; 27.2 when the residual addends and tail kept their values,
+        # 30.3 when the encoder convs kept the skips' arrays, 39.8 when each
+        # concat part kept its own array
+        assert live <= 21 << 20
+
+    def test_peak_bytes_of_a_recorded_forward_and_backward(self):
+        config = ModelConfig()
+        params = build_params(config, 21)
+        shape = (8, 3, 64, 64)
+        x = Tensor(rng.uniform(34, 8 * 3 * 64 * 64).reshape(shape).astype(np.float32))
+        clean = Tensor(rng.uniform(36, 8 * 3 * 64 * 64).reshape(shape).astype(np.float32))
+        metrics.mae_loss(forward(x, config, params), clean).backward()  # plans and caches
+        params.zero_grad()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            metrics.mae_loss(forward(x, config, params), clean).backward()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # 31.0 MiB; 35.4 when the residual addends and tail kept their values
+        assert peak <= 32 << 20
 
     @staticmethod
     def no_grad_peak_per_pixel(size):

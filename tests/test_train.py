@@ -171,6 +171,37 @@ class TestTrainLoop:
             gc.enable()
         assert dead_on_entry == [[]] + [[True, True]] * 3
 
+    def test_backward_sweep_frees_the_batch_and_output(self, tiny_manifest, tmp_path,
+                                                      monkeypatch):
+        # train() keeps no reference of its own to the batch or the output
+        # through backward, so the sweep frees each once no node needs it
+        real_forward, real_loss, real_backward = (train_mod.forward, train_mod.mae_loss,
+                                                  Tensor.backward)
+        refs, alive_after = [], []
+
+        def forward_spy(x, config, params):
+            refs[:] = [weakref.ref(x)]
+            return real_forward(x, config, params)
+
+        def loss_spy(z, clean):
+            refs.extend([weakref.ref(z), weakref.ref(clean)])
+            return real_loss(z, clean)
+
+        def backward_spy(root):
+            real_backward(root)
+            alive_after.append([r() is not None for r in refs])
+
+        monkeypatch.setattr(train_mod, "forward", forward_spy)
+        monkeypatch.setattr(train_mod, "mae_loss", loss_spy)
+        monkeypatch.setattr(Tensor, "backward", backward_spy)
+        gc.disable()
+        try:
+            train(TINY, tconf(max_steps=2), tiny_manifest, tmp_path / "w",
+                  log_stream=io.StringIO())
+        finally:
+            gc.enable()
+        assert alive_after == [[False, False, False]] * 2
+
     def test_backward_called_through_one_argument_signature(self, tiny_manifest, tmp_path,
                                                             monkeypatch):
         # the benchmark's tracer replaces Tensor.backward with a wrapper that
