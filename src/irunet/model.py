@@ -6,37 +6,18 @@ stages (2x2 stride-2 transposed conv, concatenation with the matching-
 resolution encoder feature, 1x1 merge conv, inception block), closed by a
 3x3 conv + sigmoid tail. Skips tap the head output and the first three
 stages' inception outputs; the deepest inception output is the latent fed
-to the decoder.
+to the decoder. _network states this once, as a table of blocks that
+layer_specs reads the convs from and _run executes.
 
 Both block types carry a residual shortcut: identity for the inception
 block, a 1x1 stride-2 projection for the reduction block, so zeroing the
 main path leaves the shortcut map.
 
-Under no_grad, two stages run over row bands of the image, about
-_BAND_PIXELS pixels of each image per band, so their maps are never live for
-the whole image at once:
-- head -> enc1.red, over rows of the input. Each band writes its rows of
-  the half-resolution enc1.red output into one array, so no whole-image head
-  output exists.
-- the full-resolution stage: head, dec4.up, the concat of the two, dec4.merge,
-  dec4.inc, tail and the sigmoid. Each band recomputes its rows of the head
-  skip (64 B/px) from the input rows around them, instead of keeping the
-  whole skip alive across the encoder: compute traded for memory.
-Each band runs the same layer calls as one pass over the whole image, on its
-own rows plus a halo on each side, read as views of the stage's inputs, and
-writes only its own rows into the stage's output. The halo covers the reach
-of the stage's convs (head's and the strided convs' at head -> enc1.red;
-head's, dec4.inc's dilated branch's and tail's at full resolution), rounded
-up to _BAND_STEP: 4 rows for both at the default kernel 3 and dilation 2. A
-band at the top or bottom of the image has no halo on that side, so image
-edges keep their zero padding. For the default float32 model the output is
-bit-identical to one pass over the whole image on every shape tried (see
-_BAND_STEP and the README's BLAS note). An observer installed with
-tensor.observe_ops sees head once per band of each stage, and the enc1.red
-layers once per band of the first.
-
-An image that fits in one band, and any forward that records a graph, runs
-the plain layer sequence: head once, its output kept as dec4's skip.
+Under no_grad, forward runs an image larger than one band through x ->
+enc1.red and then x and dec3.inc -> tail in row bands (_in_bands), so none
+of their maps is live for the whole image at once; the second recomputes
+each band's rows of the head skip instead of keeping the skip alive across
+the encoder: compute traded for memory.
 """
 
 from __future__ import annotations
@@ -44,7 +25,6 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -62,11 +42,10 @@ def check_image_size(h: int, w: int, source) -> None:
                          f"pad the image to a multiple of {DOWNSCALE_FACTOR} first")
 
 
-# Pixels per image in one band of each banded stage under no_grad: 64 rows at
-# width 256. When only the full-resolution stage ran in bands, a no_grad
-# 1x3x256x256 forward on a 2-core Xeon peaked at 59.5 MB RSS in one band,
-# 53.8 MB in 128-row bands and 48.0 MB in 64-row bands; 32-row bands saved
-# 1.5 MB more but ran slower than one band.
+# Pixels per image in one band under no_grad: 64 rows at width 256. With only
+# x, dec3.inc -> tail banded, a no_grad 1x3x256x256 forward on a 2-core Xeon
+# peaked at 59.5 MB RSS in one band, 53.8 MB in 128-row bands and 48.0 MB in
+# 64-row bands; 32-row bands saved 1.5 MB more but ran slower than one band.
 _BAND_PIXELS = 16 * 1024
 
 # Every band starts on a multiple of 4 rows and reads a multiple of 4 rows
@@ -137,42 +116,53 @@ class ParamStore:
             t.zero_grad()
 
 
+_Block = tuple[str, str, tuple[str, ...], list[tuple[str, ConvSpec]]]
+
+
+def _network(config: ModelConfig) -> list[_Block]:
+    """The network's blocks (name, kind, inputs, convs) in forward order, i.e. checkpoint order.
+
+    inputs names earlier blocks, or "x" for the image; convs lists the block's
+    layers in call order. _block runs each kind of block.
+    """
+    k, d, bw = config.kernel, config.dilation_rate, config.branch_width
+
+    def inception(name: str, src: str, c: int) -> _Block:
+        return (name, "inception", (src,), [
+            (f"{name}.b1", ConvSpec(c, bw, kernel=k, relu=True)),
+            (f"{name}.b2", ConvSpec(c, bw, kernel=k, relu=True)),
+            (f"{name}.b3", ConvSpec(c, bw, kernel=k, dilation=d, relu=True)),
+            (f"{name}.reduce", ConvSpec(3 * bw, c, kernel=1, relu=True))])
+
+    src, c_in = "head", config.base_width
+    net = [(src, "head", ("x",), [(src, ConvSpec(config.input_channels, c_in, kernel=k,
+                                                 relu=True))])]
+    skips = []
+    for i, c in enumerate(config.stage_widths, start=1):
+        red = f"enc{i}.red"
+        net.append((red, "reduction", (src,), [
+            (f"{red}.b1", ConvSpec(c_in, bw, kernel=k, stride=2, relu=True)),
+            (f"{red}.b2", ConvSpec(c_in, bw, kernel=k, stride=2, relu=True)),
+            (f"{red}.reduce", ConvSpec(2 * bw + c_in, c, kernel=1, relu=True)),
+            (f"{red}.shortcut", ConvSpec(c_in, c, kernel=1, stride=2))]))
+        net.append(inception(f"enc{i}.inc", red, c))
+        skips.append((src, c_in))  # head and the first three inception outputs
+        src, c_in = f"enc{i}.inc", c
+
+    for i, (skip, c) in enumerate(reversed(skips), start=1):
+        net.append((f"dec{i}", "decoder", (src, skip), [
+            (f"dec{i}.up", ConvSpec(c_in, c, kernel=2, stride=2, transposed=True)),
+            (f"dec{i}.merge", ConvSpec(2 * c, c, kernel=1, relu=True))]))
+        net.append(inception(f"dec{i}.inc", f"dec{i}", c))
+        src, c_in = f"dec{i}.inc", c
+    net.append(("tail", "tail", (src,), [("tail", ConvSpec(c_in, config.input_channels,
+                                                           kernel=k))]))
+    return net
+
+
 def layer_specs(config: ModelConfig) -> list[tuple[str, ConvSpec]]:
     """Every convolution of the network, in forward order, with its spec."""
-    k = config.kernel
-    d = config.dilation_rate
-    bw = config.branch_width
-    specs: list[tuple[str, ConvSpec]] = []
-
-    def inception(prefix: str, channels: int) -> None:
-        specs.append((f"{prefix}.b1", ConvSpec(channels, bw, kernel=k, relu=True)))
-        specs.append((f"{prefix}.b2", ConvSpec(channels, bw, kernel=k, relu=True)))
-        specs.append((f"{prefix}.b3", ConvSpec(channels, bw, kernel=k, dilation=d, relu=True)))
-        specs.append((f"{prefix}.reduce", ConvSpec(3 * bw, channels, kernel=1, relu=True)))
-
-    specs.append(("head", ConvSpec(config.input_channels, config.base_width, kernel=k,
-                                   relu=True)))
-    c_in = config.base_width
-    for i, c_out in enumerate(config.stage_widths, start=1):
-        specs.append((f"enc{i}.red.b1", ConvSpec(c_in, bw, kernel=k, stride=2, relu=True)))
-        specs.append((f"enc{i}.red.b2", ConvSpec(c_in, bw, kernel=k, stride=2, relu=True)))
-        specs.append((f"enc{i}.red.reduce",
-                      ConvSpec(2 * bw + c_in, c_out, kernel=1, relu=True)))
-        specs.append((f"enc{i}.red.shortcut", ConvSpec(c_in, c_out, kernel=1, stride=2)))
-        inception(f"enc{i}.inc", c_out)
-        c_in = c_out
-
-    ladder = list(config.stage_widths[:-1][::-1]) + [config.base_width]
-    c_in = config.stage_widths[-1]
-    for i, c_out in enumerate(ladder, start=1):
-        specs.append((f"dec{i}.up",
-                      ConvSpec(c_in, c_out, kernel=2, stride=2, transposed=True)))
-        specs.append((f"dec{i}.merge", ConvSpec(2 * c_out, c_out, kernel=1, relu=True)))
-        inception(f"dec{i}.inc", c_out)
-        c_in = c_out
-
-    specs.append(("tail", ConvSpec(config.base_width, config.input_channels, kernel=k)))
-    return specs
+    return [conv for *_, convs in _network(config) for conv in convs]
 
 
 def param_count(config: ModelConfig) -> int:
@@ -234,59 +224,92 @@ def inception_reduction_block(x: Tensor, params: ParamStore, prefix: str) -> Ten
     return out
 
 
-def _decoder_stage(maps: list[Tensor], params: ParamStore, prefix: str) -> Tensor:
-    """Upsample the map on top of `maps`, concat the skip under it, 1x1 merge, inception block.
+def _path(net: list[_Block], out: str, given) -> list[_Block]:
+    """The blocks that compute block `out` from the maps named in `given`, in forward order."""
+    need, path = {out}, []
+    for block in reversed(net):
+        if block[0] in need and block[0] not in given:
+            path.append(block)
+            need.update(block[2])
+    return path[::-1]
 
-    Pops both, so each is freed after its last use unless something else holds it.
+
+def _halo(net: list[_Block], out: str, given) -> int:
+    """Rows a band of _run(net, out, maps) reads past its own on each side, for maps named `given`.
+
+    The longest chain of block reaches from a given map to `out`, in image
+    rows, rounded up to _BAND_STEP. Every conv with a window reads its block's
+    first input, so a block reaches as far as its widest conv.
     """
-    cur = _apply(maps.pop(), params[f"{prefix}.up"])
-    cur = concat_channels([cur, maps.pop()])
-    cur = _apply(cur, params[f"{prefix}.merge"])
-    return inception_block(cur, params, f"{prefix}.inc")
+    def reach_of(spec: ConvSpec) -> int:  # input rows past those under its output rows
+        k, s = (spec.kernel[0] - 1) * spec.dilation[0] + 1, spec.stride[0]
+        return -(-max(k - s, 0) // (2 * s)) if spec.transposed else -(-(k - 1) // 2)
+
+    scale = {"x": 1}  # image rows per row of each map, set by its block's first conv
+    for name, _, inputs, ((_, spec), *_) in net:
+        s = spec.stride[0]
+        scale[name] = scale[inputs[0]] // s if spec.transposed else scale[inputs[0]] * s
+    reach = dict.fromkeys(given, 0)
+    for name, _, inputs, convs in _path(net, out, given):
+        reach[name] = (max(reach[src] for src in inputs)
+                       + scale[inputs[0]] * max(reach_of(spec) for _, spec in convs))
+    return -(-reach[out] // _BAND_STEP) * _BAND_STEP
 
 
-def _halos(config: ModelConfig) -> tuple[int, int]:
-    """Rows a band reads past its own on each side, per banded stage (see the module docstring).
+def _block(kind: str, name: str, ins: list[Tensor], params: ParamStore) -> Tensor:
+    """Block `name` on its inputs, which it pops so each is freed after its last use."""
+    if kind == "inception":
+        return inception_block(ins.pop(), params, name)
+    if kind == "reduction":
+        return inception_reduction_block(ins.pop(), params, name)
+    if kind == "decoder":  # upsample the first input, concat the second, 1x1 merge
+        cur = _apply(ins.pop(0), params[f"{name}.up"])
+        cur = concat_channels([cur, ins.pop()])
+        return _apply(cur, params[f"{name}.merge"])
+    cur = _apply(ins.pop(), params[name])
+    if kind == "head":
+        return cur
+    z = cur.sigmoid()
+    layers.release(cur)  # the sigmoid's backward reads only its own output
+    return z
 
-    A "same" conv reads ceil((k - 1) * dilation / 2) rows past an output row.
-    head -> enc1.red adds head's reach to that of the strided convs; the
-    full-resolution stage adds head's (each band recomputes the skip) to that
-    of dec4.inc's dilated branch and tail. Each is rounded up to _BAND_STEP.
+
+def _run(net: list[_Block], out: str, maps: dict[str, Tensor], params: ParamStore) -> Tensor:
+    """Block `out`'s output, from the blocks on the path to it from the named tensors `maps`.
+
+    Each block adds its output to maps; a map leaves maps at its last reader.
     """
-    k, d = config.kernel, config.dilation_rate
-    reach = -(-(k - 1) // 2)
-    sums = (2 * reach, 2 * reach + -(-(k - 1) * d // 2))
-    return tuple(-(-r // _BAND_STEP) * _BAND_STEP for r in sums)
+    path = _path(net, out, maps)
+    last = {src: name for name, _, inputs, _ in path for src in inputs}
+    for name, kind, inputs, _ in path:
+        maps[name] = _block(kind, name, [maps.pop(src) if last[src] == name else maps[src]
+                                         for src in inputs], params)
+    return maps.pop(out)
 
 
-def _in_bands(stage: Callable[[list[Tensor]], Tensor], maps: list[Tensor],
-              halo: int, whole: bool) -> Tensor:
-    """stage(maps) in row bands of the image, or in one call if `whole` or it fits one band.
+def _in_bands(net: list[_Block], out: str, maps: dict[str, Tensor], params: ParamStore) -> Tensor:
+    """_run(net, out, maps, params) in row bands of the image maps["x"], _BAND_PIXELS pixels each.
 
-    maps[0] covers the image at full resolution, each other map at a fraction
-    of the image's rows that divides every band edge. A band owns `rows`
-    image rows and reads `halo` more on each side, where the image has them,
-    as views of every map; it writes only its own rows of the output, whose
-    scale it reads off the stage's output. Rows and halo are multiples of
-    _BAND_STEP, and a band owns at least 4 halos, so the halos at most add
-    half of its rows. The stage may consume the list it is given, so one call
-    frees each map after its last use unless something else holds it.
+    Each other map covers the image at a fraction of its rows that divides every
+    band edge. A band owns `rows` image rows, at least 4 halos, and reads _halo
+    more on each side where the image has them (so image edges keep their zero
+    padding), as views of every map; it writes only its own rows of the output.
     """
-    n, _, h, w = maps[0].shape
+    n, _, h, w = maps["x"].shape
+    halo = _halo(net, out, maps)
     rows = max(_BAND_PIXELS // w, 4 * halo, _BAND_STEP) // _BAND_STEP * _BAND_STEP
-    if whole or rows >= h:
-        return stage(maps)
-    out = None
+    y = None
     for r0 in range(0, h, rows):
         e0, e1 = max(r0 - halo, 0), min(r0 + rows + halo, h)
         # views of the band's rows of each map: Tensor() would copy them contiguous
-        z = stage([Tensor._make(m.data[:, :, e0 * m.shape[2] // h:e1 * m.shape[2] // h], (), None)
-                   for m in maps])
+        z = _run(net, out, {src: Tensor._make(
+            m.data[:, :, e0 * m.shape[2] // h:e1 * m.shape[2] // h], (), None)
+            for src, m in maps.items()}, params)
         s = (e1 - e0) // z.shape[2]
-        if out is None:
-            out = np.empty((n, z.shape[1], h // s, z.shape[3]), dtype=z.dtype)
-        out[:, :, r0 // s:(r0 + rows) // s] = z.data[:, :, (r0 - e0) // s:(r0 - e0 + rows) // s]
-    return Tensor._make(out, (), None)
+        if y is None:
+            y = np.empty((n, z.shape[1], h // s, z.shape[3]), dtype=z.dtype)
+        y[:, :, r0 // s:(r0 + rows) // s] = z.data[:, :, (r0 - e0) // s:(r0 - e0 + rows) // s]
+    return Tensor._make(y, (), None)
 
 
 @functools.cache
@@ -323,35 +346,12 @@ def forward(x: Tensor, config: ModelConfig, params: ParamStore) -> Tensor:
             f"channel mismatch: input has {x.shape[1]}, model expects {config.input_channels}")
     check_image_size(x.shape[2], x.shape[3], "input")
 
+    net = _network(config)
     h, w = x.shape[2:]
     # One pass over the whole image keeps head's output as dec4's skip: a graph
     # needs it, and an image that fits one band would only compute it twice.
-    whole = records_graph([x, *params.named_tensors().values()]) or h * w <= _BAND_PIXELS
-    entry_halo, full_halo = _halos(config)
-
-    def head(t: Tensor) -> Tensor:
-        return t if whole else _apply(t, params["head"])
-
-    def encoder_entry(band: list[Tensor]) -> Tensor:
-        return inception_reduction_block(head(band.pop()), params, "enc1.red")
-
-    def full_resolution(band: list[Tensor]) -> Tensor:  # band = [x or skip, dec3 output]
-        band[0] = head(band[0])
-        tail = _apply(_decoder_stage(band, params, "dec4"), params["tail"])
-        z = tail.sigmoid()
-        layers.release(tail)  # the sigmoid's backward reads only its own output
-        return z
-
-    # the skips, or x for the head skip, and on top the map the decoder stages run on
-    maps = [_apply(x, params["head"]) if whole else x]
-    cur = inception_block(_in_bands(encoder_entry, maps[:1], entry_halo, whole), params,
-                          "enc1.inc")
-    maps.append(cur)
-    for i in range(2, 5):
-        cur = inception_reduction_block(cur, params, f"enc{i}.red")
-        cur = inception_block(cur, params, f"enc{i}.inc")
-        maps.append(cur)
-
-    for i in range(1, 4):
-        maps.append(_decoder_stage(maps, params, f"dec{i}"))
-    return _in_bands(full_resolution, maps, full_halo, whole)
+    if records_graph([x, *params.named_tensors().values()]) or h * w <= _BAND_PIXELS:
+        return _run(net, "tail", {"x": x}, params)
+    dec3 = _run(net, "dec3.inc", {"enc1.red": _in_bands(net, "enc1.red", {"x": x}, params)},
+                params)
+    return _in_bands(net, "tail", {"x": x, "dec3.inc": dec3}, params)

@@ -38,6 +38,21 @@ def write_corpus(dirpath, count: int, size: int = 32, tag: str = "img",
     return names
 
 
+def seeded_mutations(good: bytes, tag: str, count: int = 200):
+    """(i, bytes) for `count` seeded truncations, bit flips and byte insertions of good in turn."""
+    for i in range(count):
+        u = rng.uniform(rng.hash64(tag, i), 2)
+        pos = int(u[0] * len(good))
+        if i % 3 == 0:
+            yield i, good[:pos]
+        elif i % 3 == 1:
+            buf = bytearray(good)
+            buf[pos] ^= 1 << int(u[1] * 8)
+            yield i, bytes(buf)
+        else:
+            yield i, good[:pos] + bytes([int(u[1] * 256)]) + good[pos:]
+
+
 def received_grads(node) -> list:
     """Wrap node's backward closure; the returned list collects each gradient it is handed.
 

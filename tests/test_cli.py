@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 
@@ -474,6 +475,19 @@ class TestParamsAndGradcheck:
         out = capsys.readouterr().out
         assert "total trainable parameters: 133971" in out
         assert "head" in out and "tail" in out
+
+    @pytest.mark.parametrize("overrides, total, sha256", [
+        ((), 133971, "b84c6efe36c7446276909d359c9d7dd8f4f68fb9090cce6a66c9b56743d1198c"),
+        (("kernel=5", "base_width=8"), 265859,
+         "939a545c8ac2e554012cd2602739ef9573c4d7efc29c1f0118f1be4baca49c55"),
+    ])
+    def test_params_output_pinned(self, overrides, total, sha256, capsys):
+        # one line per layer in checkpoint order (58), then the total
+        assert run_cli(["params"] + [a for kv in overrides for a in ("--set", kv)]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert len(lines) == 59 and lines[-1] == f"total trainable parameters: {total}"
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_params_override_changes_total(self, capsys):
         assert run_cli(["params", "--set", "base_width=32",

@@ -1,3 +1,4 @@
+import collections
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from irunet import data
 from irunet.data import (DatasetManifest, ManifestRow, build_manifest, epoch_plan,
                          materialize_batch)
 
-from conftest import write_corpus
+from conftest import seeded_mutations, write_corpus
 
 
 class TestBuildManifest:
@@ -154,6 +155,23 @@ class TestManifestIO:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: .*'x'"):
             DatasetManifest.load(path)
+
+    def test_seeded_mutations_load_or_raise_an_error_naming_file(self, tmp_path, corpus8):
+        clean_dir, _ = corpus8
+        src = tmp_path / "src.csv"
+        build_manifest(clean_dir, [0, 25], base_seed=3).save(src)
+        path = tmp_path / "mutated.csv"
+        loaded, rejected = 0, collections.Counter()
+        for i, buf in seeded_mutations(src.read_bytes(), "manifest-fuzz"):
+            path.write_bytes(buf)
+            try:
+                DatasetManifest.load(path)
+            except (ValueError, FileNotFoundError) as e:  # a missing clean file is the latter
+                assert str(e).startswith(f"{path}:"), (i, str(e))
+                rejected[type(e)] += 1
+                continue
+            loaded += 1
+        assert loaded > 0 and rejected[ValueError] > 100 and rejected[FileNotFoundError] > 0
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError, match="split"):

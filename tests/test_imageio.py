@@ -11,7 +11,7 @@ from irunet import imageio, rng
 from irunet.imageio import (ImageFormatError, PNG_SIGNATURE, load_image, quantize,
                             save_image, tensor_to_image, to_batch)
 
-from conftest import synth_image
+from conftest import seeded_mutations, synth_image
 
 
 def random_rgb(seed, h, w):
@@ -399,6 +399,57 @@ class TestPpmDecoding:
         path.write_bytes(b"P5\n4 4\n255\n" + bytes(16))
         with pytest.raises(ImageFormatError, match="unsupported"):
             load_image(path)
+
+
+def with_chunk_crcs_fixed(buf: bytes) -> bytes:
+    """buf with every whole chunk's CRC recomputed, so a mutation reaches the chunk readers."""
+    out, pos = bytearray(buf), len(PNG_SIGNATURE)
+    while pos + 12 <= len(out):
+        (length,) = struct.unpack(">I", out[pos:pos + 4])
+        end = pos + 8 + length
+        if end + 4 > len(out):
+            break
+        out[end:end + 4] = struct.pack(">I", zlib.crc32(out[pos + 4:end]) & 0xFFFFFFFF)
+        pos = end + 4
+    return bytes(out)
+
+
+class TestSeededMutations:
+    """A mutated image loads as uint8 [H,W,3] or raises ImageFormatError naming the file."""
+
+    @staticmethod
+    def loads_or_rejects(tmp_path, ext, mutations):
+        path = tmp_path / f"mutated{ext}"
+        loaded, rejected = 0, []
+        for i, buf in mutations:
+            path.write_bytes(buf)
+            try:
+                img = load_image(path)
+            except ImageFormatError as e:
+                assert str(e).startswith(f"{path}: "), (i, str(e))
+                rejected.append(str(e))
+                continue
+            assert img.dtype == np.uint8 and img.ndim == 3 and img.shape[2] == 3, i
+            loaded += 1
+        return loaded, rejected
+
+    def test_png(self, tmp_path):
+        src = tmp_path / "src.png"
+        save_image(random_rgb(61, 12, 10), src)
+        mutations = ((i, with_chunk_crcs_fixed(buf) if i % 2 else buf)
+                     for i, buf in seeded_mutations(src.read_bytes(), "png-fuzz"))
+        loaded, rejected = self.loads_or_rejects(tmp_path, ".png", mutations)
+        assert len(rejected) > 150
+        # with valid CRCs, mutations reach the header and pixel-data checks
+        assert any("CRC" not in m and "truncated" not in m for m in rejected)
+
+    def test_ppm(self, tmp_path):
+        src = tmp_path / "src.ppm"
+        save_image(random_rgb(62, 12, 10), src)
+        loaded, rejected = self.loads_or_rejects(
+            tmp_path, ".ppm", seeded_mutations(src.read_bytes(), "ppm-fuzz"))
+        # a flipped pixel byte still loads: PPM has no checksum
+        assert loaded > 0 and len(rejected) > 30
 
 
 class TestIngestion:
