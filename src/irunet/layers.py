@@ -57,9 +57,12 @@ release() frees a recorded output's values once no backward but its own reads
 them, and a relu-fused output then keeps only its mask, packed 8 per byte.
 Plans are memoized per input size, channel count and geometry, and one
 backward builds the pitched output gradient once for both the input and
-weight gradients. The gradients the backward passes allocate (input,
-weight, bias) are fresh arrays, so they go to `Tensor.accumulate_grad` as
-owned and the first one becomes `.grad` without a copy.
+weight gradients. The backward passes keep Tensor.accumulate_grad's
+ownership rule: the relu mask multiplies the output gradient in place, the
+gradients they allocate (input, weight, bias) go to `.grad` as owned, and an
+input gradient is added in place, crop by crop, into an input's `.grad` that
+a sibling conv or the pooling has already set, so a tensor read by several
+layers keeps one gradient array.
 """
 
 from __future__ import annotations
@@ -319,29 +322,57 @@ def _to_phases(x: np.ndarray, plan: _Plan) -> np.ndarray:
     return xq.reshape(n, len(plan.cuts), c, plan.hq * plan.wq)
 
 
-def _from_phases(gq: np.ndarray, plan: _Plan, x_shape) -> np.ndarray:
-    """Adjoint of _to_phases: gather phase-map gradients back onto the input grid."""
+def _from_phases(gq: np.ndarray, plan: _Plan, x_shape, gx: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of _to_phases: gather phase-map gradients back onto the input grid.
+
+    Given `gx`, they are added into it, and gx is returned.
+    """
     n, c = x_shape[:2]
     gq = gq.reshape(n, len(plan.cuts), c, plan.hq, plan.wq)
-    if plan.is_view:
+    if plan.is_view and gx is None:
         return gq.reshape(x_shape)
-    gx = (np.empty if plan.fills_input else np.zeros)(x_shape, dtype=gq.dtype)
+    add = gx is not None
+    if not add:
+        gx = (np.empty if plan.fills_input else np.zeros)(x_shape, dtype=gq.dtype)
     for p, (xs, qs) in enumerate(plan.cuts):
-        gx[:, :, xs[0], xs[1]] = gq[:, p, :, qs[0], qs[1]]
+        _write(gx[:, :, xs[0], xs[1]], gq[:, p, :, qs[0], qs[1]], add)
     return gx
+
+
+def _write(dst: np.ndarray, src: np.ndarray, add: bool) -> None:
+    """dst += src if `add`, else dst[...] = src: dst is a view into an input gradient."""
+    if add:
+        dst += src
+    else:
+        dst[...] = src
+
+
+# The pitched output gradient starts each channel's output pixel 0, where the
+# weight gradient's GEMM reads, on a multiple of this many bytes. On a 2-core
+# Xeon (BLAS 1 thread) that made the weight gradient of 8x16x64x64 -> 8 3x3
+# convs 6-7% faster at dilation 1 and 2 (10/10 interleaved pairs each), with
+# bit-identical results.
+_ALIGN = 64
 
 
 def _pitched(g: np.ndarray, plan: _Plan) -> np.ndarray:
     """Output gradient at row pitch wq, zeros in the pitch columns and around.
 
     Output pixel k (counted at pitch wq) sits at `plan.lead + k` of an
-    [N, O, span] buffer, so every window the gradients read, each tap's
-    shifted back by its offset, stays inside it.
+    [N, O, span] view, so every window the gradients read, each tap's
+    shifted back by its offset, stays inside it. The view's rows lie in a
+    zeroed buffer at a pitch of whole _ALIGN blocks, placed so that each
+    row's pixel 0 is _ALIGN-aligned, where the weight gradient's GEMM reads.
     """
     n, o = g.shape[:2]
     if (plan.lead, plan.wq, plan.span) == (0, plan.out_w, plan.out_h * plan.out_w):
         return g.reshape(n, o, plan.span)
-    gp = np.zeros((n, o, plan.span), dtype=g.dtype)
+    per = _ALIGN // g.itemsize
+    pad = -plan.lead % per
+    pitch = -(-(pad + plan.span) // per) * per
+    buf = np.zeros(n * o * pitch + per, dtype=g.dtype)
+    start = -buf.ctypes.data % _ALIGN // g.itemsize
+    gp = buf[start:start + n * o * pitch].reshape(n, o, pitch)[..., pad:pad + plan.span]
     rows = gp[..., plan.lead:plan.lead + plan.out_h * plan.wq]
     rows.reshape(n, o, plan.out_h, plan.wq)[..., :plan.out_w] = g
     return gp
@@ -466,17 +497,22 @@ def _conv2d_grad_w(xq: np.ndarray, gp: np.ndarray, plan: _Plan) -> np.ndarray:
     return np.ascontiguousarray(gw.reshape(kh, kw, out_c, c).transpose(2, 3, 0, 1))
 
 
-def _conv2d_grad_x(gp: np.ndarray, weight: np.ndarray, x_shape, plan: _Plan) -> np.ndarray:
+def _conv2d_grad_x(gp: np.ndarray, weight: np.ndarray, x_shape, plan: _Plan,
+                   gx: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the conv output w.r.t. input, from the pitched output gradient gp.
 
     Each phase-map pixel gathers, tap by tap, the gradient of the output
     pixel that read it: the forward tap sum run backwards over the windows.
     Only the map rows that hold input pixels are summed, not the margins.
+    Given `gx` (the input's gradient so far), each phase's crop is added into
+    it and gx is returned; otherwise the gradient is a fresh array.
     """
     n, c = x_shape[:2]
     if plan.disjoint:
-        return _from_phases(np.matmul(_stacked_weights(weight).T, gp), plan, x_shape)
-    gx = (np.empty if plan.fills_input else np.zeros)(x_shape, dtype=gp.dtype)
+        return _from_phases(np.matmul(_stacked_weights(weight).T, gp), plan, x_shape, gx)
+    add = gx is not None
+    if not add:
+        gx = (np.empty if plan.fills_input else np.zeros)(x_shape, dtype=gp.dtype)
     weights = _tap_weights(weight)
     for p, (xs, (rows, cols)) in enumerate(plan.cuts):
         if rows.stop <= rows.start:
@@ -485,7 +521,7 @@ def _conv2d_grad_x(gp: np.ndarray, weight: np.ndarray, x_shape, plan: _Plan) -> 
         start = plan.lead + rows.start * plan.wq
         _tap_sum(gq, [(wt.T, gp, start - off)
                       for wt, (tp, off) in zip(weights, plan.taps) if tp == p])
-        gx[:, :, xs[0], xs[1]] = gq.reshape(n, c, -1, plan.wq)[..., cols]
+        _write(gx[:, :, xs[0], xs[1]], gq.reshape(n, c, -1, plan.wq)[..., cols], add)
     return gx
 
 
@@ -573,10 +609,10 @@ def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if spec.relu:
-            g = g * mask.get(g.shape)
+            g *= mask.get(g.shape)
         gp = _pitched(g, plan)
-        if x.requires_grad:
-            x.accumulate_grad(_conv2d_grad_x(gp, weight.data, x.shape, plan), owned=True)
+        if x.requires_grad:  # the first sibling conv's gradient becomes .grad, later ones add
+            x.grad = _conv2d_grad_x(gp, weight.data, x.shape, plan, x.grad)
         if weight.requires_grad:
             weight.accumulate_grad(_conv2d_grad_w(maps.get(), gp, plan), owned=True)
         if bias.requires_grad:
@@ -669,10 +705,11 @@ def avg_pool2d(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            gi = g * 0.25
-            gx = np.empty(x.shape, dtype=gi.dtype)
+            g *= 0.25
+            add = x.grad is not None
+            gx = x.grad if add else np.empty(x.shape, dtype=g.dtype)
             for a in range(2):
                 for b in range(2):
-                    gx[:, :, a::2, b::2] = gi
-            x.accumulate_grad(gx, owned=True)
+                    _write(gx[:, :, a::2, b::2], g, add)
+            x.grad = gx
     return Tensor._make(y, (x,), backward)

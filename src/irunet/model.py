@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -116,48 +116,56 @@ class ParamStore:
             t.zero_grad()
 
 
-_Block = tuple[str, str, tuple[str, ...], list[tuple[str, ConvSpec]]]
+_Block = tuple[str, str, tuple[str, ...], tuple[tuple[str, ConvSpec], ...]]
 
 
-def _network(config: ModelConfig) -> list[_Block]:
+def _network(config: ModelConfig) -> tuple[_Block, ...]:
     """The network's blocks (name, kind, inputs, convs) in forward order, i.e. checkpoint order.
 
     inputs names earlier blocks, or "x" for the image; convs lists the block's
-    layers in call order. _block runs each kind of block.
+    layers in call order. _block runs each kind of block. The table is built
+    once per set of config values (the dataclass itself is mutable), so callers
+    must not change its specs.
     """
+    return _table(*astuple(config))
+
+
+@functools.lru_cache(maxsize=32)
+def _table(*fields) -> tuple[_Block, ...]:
+    config = ModelConfig(*fields)
     k, d, bw = config.kernel, config.dilation_rate, config.branch_width
 
     def inception(name: str, src: str, c: int) -> _Block:
-        return (name, "inception", (src,), [
+        return (name, "inception", (src,), (
             (f"{name}.b1", ConvSpec(c, bw, kernel=k, relu=True)),
             (f"{name}.b2", ConvSpec(c, bw, kernel=k, relu=True)),
             (f"{name}.b3", ConvSpec(c, bw, kernel=k, dilation=d, relu=True)),
-            (f"{name}.reduce", ConvSpec(3 * bw, c, kernel=1, relu=True))])
+            (f"{name}.reduce", ConvSpec(3 * bw, c, kernel=1, relu=True))))
 
     src, c_in = "head", config.base_width
-    net = [(src, "head", ("x",), [(src, ConvSpec(config.input_channels, c_in, kernel=k,
-                                                 relu=True))])]
+    net = [(src, "head", ("x",), ((src, ConvSpec(config.input_channels, c_in, kernel=k,
+                                                 relu=True)),))]
     skips = []
     for i, c in enumerate(config.stage_widths, start=1):
         red = f"enc{i}.red"
-        net.append((red, "reduction", (src,), [
+        net.append((red, "reduction", (src,), (
             (f"{red}.b1", ConvSpec(c_in, bw, kernel=k, stride=2, relu=True)),
             (f"{red}.b2", ConvSpec(c_in, bw, kernel=k, stride=2, relu=True)),
             (f"{red}.reduce", ConvSpec(2 * bw + c_in, c, kernel=1, relu=True)),
-            (f"{red}.shortcut", ConvSpec(c_in, c, kernel=1, stride=2))]))
+            (f"{red}.shortcut", ConvSpec(c_in, c, kernel=1, stride=2)))))
         net.append(inception(f"enc{i}.inc", red, c))
         skips.append((src, c_in))  # head and the first three inception outputs
         src, c_in = f"enc{i}.inc", c
 
     for i, (skip, c) in enumerate(reversed(skips), start=1):
-        net.append((f"dec{i}", "decoder", (src, skip), [
+        net.append((f"dec{i}", "decoder", (src, skip), (
             (f"dec{i}.up", ConvSpec(c_in, c, kernel=2, stride=2, transposed=True)),
-            (f"dec{i}.merge", ConvSpec(2 * c, c, kernel=1, relu=True))]))
+            (f"dec{i}.merge", ConvSpec(2 * c, c, kernel=1, relu=True)))))
         net.append(inception(f"dec{i}.inc", f"dec{i}", c))
         src, c_in = f"dec{i}.inc", c
-    net.append(("tail", "tail", (src,), [("tail", ConvSpec(c_in, config.input_channels,
-                                                           kernel=k))]))
-    return net
+    net.append(("tail", "tail", (src,), (("tail", ConvSpec(c_in, config.input_channels,
+                                                           kernel=k)),)))
+    return tuple(net)
 
 
 def layer_specs(config: ModelConfig) -> list[tuple[str, ConvSpec]]:
@@ -224,7 +232,7 @@ def inception_reduction_block(x: Tensor, params: ParamStore, prefix: str) -> Ten
     return out
 
 
-def _path(net: list[_Block], out: str, given) -> list[_Block]:
+def _path(net: tuple[_Block, ...], out: str, given) -> list[_Block]:
     """The blocks that compute block `out` from the maps named in `given`, in forward order."""
     need, path = {out}, []
     for block in reversed(net):
@@ -234,7 +242,7 @@ def _path(net: list[_Block], out: str, given) -> list[_Block]:
     return path[::-1]
 
 
-def _halo(net: list[_Block], out: str, given) -> int:
+def _halo(net: tuple[_Block, ...], out: str, given) -> int:
     """Rows a band of _run(net, out, maps) reads past its own on each side, for maps named `given`.
 
     The longest chain of block reaches from a given map to `out`, in image
@@ -274,7 +282,7 @@ def _block(kind: str, name: str, ins: list[Tensor], params: ParamStore) -> Tenso
     return z
 
 
-def _run(net: list[_Block], out: str, maps: dict[str, Tensor], params: ParamStore) -> Tensor:
+def _run(net: tuple[_Block, ...], out: str, maps: dict[str, Tensor], params: ParamStore) -> Tensor:
     """Block `out`'s output, from the blocks on the path to it from the named tensors `maps`.
 
     Each block adds its output to maps; a map leaves maps at its last reader.
@@ -287,7 +295,8 @@ def _run(net: list[_Block], out: str, maps: dict[str, Tensor], params: ParamStor
     return maps.pop(out)
 
 
-def _in_bands(net: list[_Block], out: str, maps: dict[str, Tensor], params: ParamStore) -> Tensor:
+def _in_bands(net: tuple[_Block, ...], out: str, maps: dict[str, Tensor],
+              params: ParamStore) -> Tensor:
     """_run(net, out, maps, params) in row bands of the image maps["x"], _BAND_PIXELS pixels each.
 
     Each other map covers the image at a fraction of its rows that divides every

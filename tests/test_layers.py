@@ -487,6 +487,47 @@ class TestSharedMaps:
         assert np.array_equal(again.data, fresh.data)
 
 
+class TestSiblingGradients:
+    """Layers reading one input add their input gradients into its one `.grad` array."""
+
+    @pytest.mark.parametrize("geometries, pool", [
+        ([dict(kernel=3), dict(kernel=3), dict(kernel=3, dilation=2)], False),  # inception
+        ([dict(kernel=3, stride=2), dict(kernel=3, stride=2), dict(kernel=1, stride=2)], True),
+        ([dict(kernel=1)] * 3, False),  # the input gradient is the GEMM's output itself
+    ])
+    def test_siblings_keep_one_input_gradient_array(self, geometries, pool, monkeypatch):
+        lps = [init_params(ConvSpec(3, 2, relu=True, **g), rng.hash64("siblings", i),
+                           dtype=np.float64) for i, g in enumerate(geometries)]
+        apply = [lambda t, lp=lp: conv2d(t, lp.spec, lp) for lp in lps] + [avg_pool2d] * pool
+        x_data = rand64(44, (2, 3, 8, 6)).data
+        x = Tensor(x_data.copy(), requires_grad=True)
+        outs = [f(x) for f in apply]
+        held, handed = [], []
+        for out in outs:
+            inner = out._backward
+
+            def backward(g, inner=inner):
+                inner(g)
+                held.append(x.grad)
+            out._backward = backward
+        accumulate = Tensor.accumulate_grad
+
+        def recording(t, g, owned=False):
+            if t is x:
+                handed.append(g)
+            accumulate(t, g, owned)
+        monkeypatch.setattr(Tensor, "accumulate_grad", recording)
+        concat_channels(outs).sum().backward()
+        assert len(held) == len(outs) and all(g is held[0] for g in held)
+        assert handed == []  # no whole input gradient was allocated to be added
+        alone = []  # each layer's input gradient on its own, summed
+        for f in apply:
+            xi = Tensor(x_data.copy(), requires_grad=True)
+            f(xi).sum().backward()
+            alone.append(xi.grad)
+        assert np.allclose(x.grad, sum(alone), rtol=1e-13, atol=1e-13)
+
+
 class TestChannelSliceInputs:
     """A recorded concat rebinds its parts to channel slices of its output (concat_channels)."""
 

@@ -520,8 +520,34 @@ class TestMemoryGuard:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # 31.0 MiB; 35.4 when the residual addends and tail kept their values
-        assert peak <= 32 << 20
+        # 28.0 MiB; 31.0 when every backward copied the gradient it passed on or
+        # allocated a sibling's input gradient to add; 35.4 when the residual
+        # addends and tail kept their values
+        assert peak <= 29 << 20
+
+    def test_recorded_step_copies_only_concat_parts_and_second_addends(self, monkeypatch):
+        # every other gradient goes owned to its tensor or is added into its .grad
+        one = Tensor(np.ones((1, 1, 1, 1)), requires_grad=True)
+        add_code = (one + Tensor(np.ones((1, 1, 1, 1)), requires_grad=True))._backward.__code__
+        concat_code = concat_channels([one])._backward.__code__
+        copies = collections.Counter()
+        accumulate = Tensor.accumulate_grad
+
+        def counting(t, g, owned=False):
+            if t.grad is None and not owned:
+                caller = sys._getframe(1)
+                if caller.f_code is add_code:
+                    copies["second addend" if caller.f_locals["o"] is t else "first"] += 1
+                else:
+                    copies["concat part" if caller.f_code is concat_code else "other"] += 1
+            accumulate(t, g, owned)
+        monkeypatch.setattr(Tensor, "accumulate_grad", counting)
+        params = build_params(SMALL, 24, dtype=np.float64)
+        x = rand64(37, (2, 3, 32, 32), requires_grad=True)
+        metrics.mae_loss(forward(x, SMALL, params), rand64(38, x.shape)).backward()
+        # one per residual add (8 inception, 4 reduction blocks); one per part
+        # of the inception (3), reduction (3) and decoder (2) concats
+        assert copies == {"second addend": 8 + 4, "concat part": 8 * 3 + 4 * 3 + 4 * 2}
 
     @staticmethod
     def no_grad_peak_per_pixel(size):
@@ -802,6 +828,19 @@ class TestRowBands:
 
 
 class TestParamCount:
+    def test_network_table_built_once_per_config_values(self):
+        model._table.cache_clear()
+        params = build_params(SMALL, 9, dtype=np.float64)
+        with no_grad():
+            for _ in range(2):
+                forward(rand64(39, (1, 3, 16, 16)), SMALL, params)
+        assert model._table.cache_info().misses == 1
+        assert model._network(dataclasses.replace(SMALL)) is model._network(SMALL)
+        wider = dataclasses.replace(SMALL, branch_width=3)
+        assert model._network(wider) is not model._network(SMALL)
+        assert model._table.cache_info().misses == 2
+        assert param_count(wider) != param_count(SMALL)
+
     def test_golden_default(self):
         assert param_count(ModelConfig()) == GOLDEN_DEFAULT_PARAM_COUNT
 

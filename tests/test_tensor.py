@@ -152,6 +152,15 @@ class TestBackward:
         assert np.array_equal(x.grad, np.full((2, 3), 2.0))
         assert np.array_equal(y_grad, np.ones((2, 3)))
 
+    def test_add_hands_its_own_gradient_to_the_first_addend(self):
+        a, b = rand64(11, (2, 3)), rand64(12, (2, 3))
+        y = a + b
+        y_grads = received_grads(y)
+        (y * rand64(13, (2, 3), requires_grad=False)).sum().backward()
+        y_grad, = y_grads
+        assert a.grad is y_grad
+        assert np.array_equal(b.grad, y_grad) and not np.shares_memory(b.grad, y_grad)
+
     def test_unreached_values_have_no_grad(self):
         x = rand64(3, (2,))
         y = rand64(4, (2,))
