@@ -164,11 +164,7 @@ def _serialize(params: ParamStore, config: ModelConfig,
 
 
 def _write(path, params: ParamStore, config: ModelConfig, state: AdamState | None) -> None:
-    """Validate and serialize first, so a rejected save leaves no file behind."""
-    try:
-        config.validate()
-    except ValueError as e:
-        raise CheckpointError(f"{path}: refusing to save an invalid config: {e}") from e
+    """Serialize first, so a rejected save leaves no file behind."""
     data = _serialize(params, config, state)
     with open(path, "wb") as f:
         f.write(data)

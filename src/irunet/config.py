@@ -20,9 +20,9 @@ class ConfigError(ValueError):
     """Bad key, value or file in a run configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Adam and schedule settings of a training run; every float must be finite."""
+    """Adam and schedule settings of a training run (immutable); every float must be finite."""
 
     learning_rate: float = 1e-4
     beta1: float = 0.9

@@ -55,14 +55,13 @@ rebound that data to a view of its own output (tensor.concat_channels), and a
 strong reference from the closure to its own node would make a cycle.
 release() frees a recorded output's values once no backward but its own reads
 them, and a relu-fused output then keeps only its mask, packed 8 per byte.
-Plans are memoized per input size, channel count and geometry, and one
-backward builds the pitched output gradient once for both the input and
-weight gradients. The backward passes keep Tensor.accumulate_grad's
-ownership rule: the relu mask multiplies the output gradient in place, the
-gradients they allocate (input, weight, bias) go to `.grad` as owned, and an
-input gradient is added in place, crop by crop, into an input's `.grad` that
-a sibling conv or the pooling has already set, so a tensor read by several
-layers keeps one gradient array.
+Plans are memoized per input size and spec, and one backward builds the
+pitched output gradient once for both the input and weight gradients. The
+backward passes keep Tensor.accumulate_grad's ownership rule: the relu mask
+multiplies the output gradient in place, the gradients they allocate (input,
+weight, bias) go to `.grad` as owned, and an input gradient is added in place,
+crop by crop, into an input's `.grad` that a sibling conv or the pooling has
+already set, so a tensor read by several layers keeps one gradient array.
 """
 
 from __future__ import annotations
@@ -86,9 +85,9 @@ def _pair(v) -> tuple[int, int]:
     return (int(a), int(b))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvSpec:
-    """Static description of one convolution layer."""
+    """Static description of one convolution layer; an immutable, hashable value."""
 
     in_channels: int
     out_channels: int
@@ -100,9 +99,8 @@ class ConvSpec:
     relu: bool = False  # the layer's output is max(conv + bias, 0)
 
     def __post_init__(self):
-        self.kernel = _pair(self.kernel)
-        self.stride = _pair(self.stride)
-        self.dilation = _pair(self.dilation)
+        for name in ("kernel", "stride", "dilation"):
+            object.__setattr__(self, name, _pair(getattr(self, name)))
         if self.in_channels < 1 or self.out_channels < 1:
             raise ValueError("channel counts must be positive")
         if min(self.kernel) < 1 or min(self.stride) < 1 or min(self.dilation) < 1:
@@ -111,6 +109,9 @@ class ConvSpec:
             raise ValueError(f"unknown padding mode {self.padding!r}")
         if self.relu and self.transposed:
             raise ValueError("relu is fused into conv2d only, not into transposed_conv2d")
+        if self.transposed and self.padding != "same":
+            raise ValueError("a transposed conv is the adjoint of a same-padded conv: "
+                             "padding must be 'same'")
 
     @property
     def weight_shape(self) -> tuple[int, int, int, int]:
@@ -248,18 +249,18 @@ _MARGIN = 2
 _STACK_CHANNELS = 4
 
 
-def _plan(h: int, w: int, spec: ConvSpec) -> _Plan:
-    """The phase maps and tap windows of `spec` on an h x w input."""
-    return _plan_for(h, w, spec.in_channels, spec.kernel, spec.stride, spec.dilation,
-                     spec.padding)
-
-
 @lru_cache(maxsize=1024)
-def _plan_for(h: int, w: int, channels: int, kernel, stride, dilation, padding: str) -> _Plan:
-    kh, kw = kernel
-    sh, sw = stride
-    dh, dw = dilation
-    out_h, out_w, pads = _geometry(h, w, kernel, stride, dilation, padding)
+def _plan(h: int, w: int, spec: ConvSpec) -> _Plan:
+    """The phase maps and tap windows of `spec` on an h x w input.
+
+    For a transposed spec, those of the conv it is the adjoint of, whose
+    input is h x w with spec.out_channels channels.
+    """
+    kh, kw = spec.kernel
+    sh, sw = spec.stride
+    dh, dw = spec.dilation
+    channels = spec.out_channels if spec.transposed else spec.in_channels
+    out_h, out_w, pads = _geometry(h, w, spec.kernel, spec.stride, spec.dilation, spec.padding)
     pt, _, pl, _ = pads
     if (sh, sw) == (1, 1) and 0 < max(pads) <= _MARGIN:
         # the shared layout: padded pixel (0, 0) sits at map row top, column left
@@ -670,9 +671,7 @@ def transposed_conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     n, _, h, w = x.shape
     sh, sw = spec.stride
     out_shape = (n, spec.out_channels, h * sh, w * sw)
-    # the plan of the same-padded convolution this layer is the adjoint of
-    plan = _plan_for(h * sh, w * sw, spec.out_channels, spec.kernel, spec.stride,
-                     spec.dilation, "same")
+    plan = _plan(h * sh, w * sw, spec)
     y = _conv2d_grad_x(_pitched(x.data, plan), weight.data, out_shape, plan)
     y += bias.data[None, :, None, None]
 

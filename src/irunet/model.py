@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,9 +58,9 @@ _BAND_PIXELS = 16 * 1024
 _BAND_STEP = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters; every field is an integer for serialization."""
+    """Immutable architecture hyperparameters; every field is an integer for serialization."""
 
     input_channels: int = 3
     base_width: int = 16
@@ -73,7 +73,7 @@ class ModelConfig:
     sigma_high: int = 50
 
     def __post_init__(self):
-        self.stage_widths = tuple(int(v) for v in self.stage_widths)
+        object.__setattr__(self, "stage_widths", tuple(int(v) for v in self.stage_widths))
         self.validate()
 
     def validate(self) -> None:
@@ -119,20 +119,14 @@ class ParamStore:
 _Block = tuple[str, str, tuple[str, ...], tuple[tuple[str, ConvSpec], ...]]
 
 
+@functools.lru_cache(maxsize=32)
 def _network(config: ModelConfig) -> tuple[_Block, ...]:
     """The network's blocks (name, kind, inputs, convs) in forward order, i.e. checkpoint order.
 
     inputs names earlier blocks, or "x" for the image; convs lists the block's
     layers in call order. _block runs each kind of block. The table is built
-    once per set of config values (the dataclass itself is mutable), so callers
-    must not change its specs.
+    once per set of config values.
     """
-    return _table(*astuple(config))
-
-
-@functools.lru_cache(maxsize=32)
-def _table(*fields) -> tuple[_Block, ...]:
-    config = ModelConfig(*fields)
     k, d, bw = config.kernel, config.dilation_rate, config.branch_width
 
     def inception(name: str, src: str, c: int) -> _Block:

@@ -90,7 +90,6 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     else:
         _check_resume(start, model_config, train_config.max_steps)
         params, state = start.params, start.state
-    train_config.validate()
     rows = manifest.split_rows("train")
     if not rows:
         raise ValueError("manifest has no train rows")

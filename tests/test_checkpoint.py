@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import struct
 import zlib
@@ -9,6 +8,7 @@ import pytest
 from irunet import rng
 from irunet.checkpoint import (CheckpointError, load_checkpoint, save_checkpoint,
                                save_training_checkpoint)
+from irunet.layers import ConvSpec, init_params
 from irunet.model import ModelConfig, build_params, forward, layer_specs, param_count
 from irunet.optim import AdamState
 from irunet.tensor import Tensor, no_grad
@@ -172,36 +172,35 @@ def test_bytes_match_format_1_fixture(tmp_path, training, size, sha256):
     assert load_checkpoint(path).config == FIXTURE_CFG
 
 
-def invalid_config():
-    cfg = dataclasses.replace(CFG)
-    cfg.sigma_low = 60  # above sigma_high, set after construction skips __post_init__
-    return cfg
+def long_named_params(seed):
+    """Valid parameters plus one layer whose name encodes to more than 65,535 bytes."""
+    params = build_params(CFG, seed)
+    params.add(init_params(ConvSpec(1, 1, kernel=1), seed, name="x" * 0x10000))
+    return params
+
+
+def save(params, path, training):
+    if training:
+        save_training_checkpoint(params, CFG, AdamState.initial(params), path)
+    else:
+        save_checkpoint(params, CFG, path)
 
 
 @pytest.mark.parametrize("training", [False, True])
-def test_save_rejects_invalid_config_before_creating_file(tmp_path, training):
-    params = build_params(CFG, 14)
-    path = tmp_path / "invalid.ckpt"
-    with pytest.raises(CheckpointError, match="sigma range") as err:
-        if training:
-            save_training_checkpoint(params, invalid_config(), AdamState.initial(params), path)
-        else:
-            save_checkpoint(params, invalid_config(), path)
-    assert str(path) in str(err.value)
+def test_save_rejected_while_serializing_creates_no_file(tmp_path, training):
+    path = tmp_path / "rejected.ckpt"
+    with pytest.raises(CheckpointError, match="name too long"):
+        save(long_named_params(14), path, training)
     assert not path.exists()
 
 
 @pytest.mark.parametrize("training", [False, True])
-def test_save_rejecting_invalid_config_leaves_existing_file_intact(tmp_path, training):
-    params = build_params(CFG, 15)
+def test_save_rejected_while_serializing_leaves_existing_file_intact(tmp_path, training):
     path = tmp_path / "kept.ckpt"
-    save_checkpoint(params, CFG, path)
+    save_checkpoint(build_params(CFG, 15), CFG, path)
     before = path.read_bytes()
-    with pytest.raises(CheckpointError):
-        if training:
-            save_training_checkpoint(params, invalid_config(), AdamState.initial(params), path)
-        else:
-            save_checkpoint(params, invalid_config(), path)
+    with pytest.raises(CheckpointError, match="name too long"):
+        save(long_named_params(15), path, training)
     assert path.read_bytes() == before
 
 

@@ -1,5 +1,5 @@
 import importlib
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
@@ -25,6 +25,12 @@ def as_text(value):
 
 @pytest.mark.parametrize("cls, key", KEYS, ids=[key for _, key in KEYS])
 class TestEveryKey:
+    def test_field_cannot_be_assigned(self, cls, key):
+        config = cls()
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, key, off_default(getattr(config, key)))
+        assert getattr(config, key) == getattr(cls(), key)
+
     def test_set_and_file_give_typed_value(self, tmp_path, cls, key):
         default = getattr(cls(), key)
         want = off_default(default)

@@ -393,14 +393,14 @@ class TestPitchedSpan:
     @staticmethod
     def grads(run, monkeypatch, margin):
         # widen every tap-window plan's pitched buffer by `margin` zeros on each side
-        plan_for = layers._plan_for.__wrapped__
+        plan_for = layers._plan.__wrapped__
 
         def wide(*args):
             plan = plan_for(*args)
             if plan.disjoint:
                 return plan
             return dataclasses.replace(plan, lead=plan.lead + margin, span=plan.span + 2 * margin)
-        monkeypatch.setattr(layers, "_plan_for", wide)
+        monkeypatch.setattr(layers, "_plan", wide)
         return run()
 
     @staticmethod
@@ -643,6 +643,11 @@ class TestFusedRelu:
         with pytest.raises(ValueError, match="relu"):
             ConvSpec(2, 2, kernel=2, stride=2, transposed=True, relu=True)
 
+    def test_transposed_valid_padding_rejected(self):
+        # its plan is the same-padded conv's, so "valid" would run as "same"
+        with pytest.raises(ValueError, match="padding must be 'same'"):
+            ConvSpec(2, 2, kernel=3, stride=2, transposed=True, padding="valid")
+
 
 class TestRelease:
     """layers.release frees a recorded op output's values, keeping a relu conv's mask as bits."""
@@ -830,3 +835,16 @@ class TestConvOutputSize:
         assert conv_output_size(5, 3, 1, 1, "valid") == 3
         with pytest.raises(ValueError):
             conv_output_size(2, 3, 1, 1, "valid")
+
+
+class TestPlanCache:
+    def test_equal_specs_share_one_plan(self):
+        layers._plan.cache_clear()
+        assert layers._plan(9, 8, ConvSpec(4, 8, kernel=3)) is layers._plan(9, 8, ConvSpec(4, 8))
+        assert layers._plan.cache_info().misses == 1
+
+    def test_transposed_spec_plans_the_conv_it_is_the_adjoint_of(self):
+        # 3 channels into the adjoint conv: its plan stacks the taps, 8 would not
+        adjoint = layers._plan(12, 10, ConvSpec(3, 8, kernel=3))
+        assert adjoint.stacked
+        assert layers._plan(12, 10, ConvSpec(8, 3, kernel=3, transposed=True)) == adjoint

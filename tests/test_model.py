@@ -56,6 +56,23 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(base_width=0)
 
+    def test_replace_validates(self):
+        with pytest.raises(ValueError, match="sigma range"):
+            dataclasses.replace(SMALL, sigma_low=60)
+
+    def test_shared_specs_cannot_be_assigned(self):
+        params = build_params(SMALL, 9, dtype=np.float64)
+        x = rand64(40, (1, 3, 16, 16))
+        with no_grad():
+            before = forward(x, SMALL, params).data
+        for _, spec in layer_specs(SMALL):
+            for f in dataclasses.fields(spec):
+                value = not spec.relu if f.name == "relu" else getattr(spec, f.name)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(spec, f.name, value)
+        with no_grad():
+            assert np.array_equal(forward(x, SMALL, params).data, before)
+
 
 class TestInceptionBlock:
     def test_output_shape_equals_input(self):
@@ -829,16 +846,16 @@ class TestRowBands:
 
 class TestParamCount:
     def test_network_table_built_once_per_config_values(self):
-        model._table.cache_clear()
+        model._network.cache_clear()
         params = build_params(SMALL, 9, dtype=np.float64)
         with no_grad():
             for _ in range(2):
                 forward(rand64(39, (1, 3, 16, 16)), SMALL, params)
-        assert model._table.cache_info().misses == 1
+        assert model._network.cache_info().misses == 1
         assert model._network(dataclasses.replace(SMALL)) is model._network(SMALL)
         wider = dataclasses.replace(SMALL, branch_width=3)
         assert model._network(wider) is not model._network(SMALL)
-        assert model._table.cache_info().misses == 2
+        assert model._network.cache_info().misses == 2
         assert param_count(wider) != param_count(SMALL)
 
     def test_golden_default(self):
