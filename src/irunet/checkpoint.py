@@ -75,7 +75,7 @@ def _config_from_fields(stored: dict[str, int], path) -> ModelConfig:
 def _encode_name(name: str) -> bytes:
     raw = name.encode("utf-8")
     if len(raw) > 0xFFFF:
-        raise CheckpointError(f"name too long: {name!r}")
+        raise CheckpointError(f"name too long: {len(raw)} bytes, over {0xFFFF}: {name[:24]!r}...")
     return struct.pack("<H", len(raw)) + raw
 
 
@@ -165,7 +165,10 @@ def _serialize(params: ParamStore, config: ModelConfig,
 
 def _write(path, params: ParamStore, config: ModelConfig, state: AdamState | None) -> None:
     """Serialize first, so a rejected save leaves no file behind."""
-    data = _serialize(params, config, state)
+    try:
+        data = _serialize(params, config, state)
+    except CheckpointError as e:
+        raise CheckpointError(f"{path}: {e}") from None
     with open(path, "wb") as f:
         f.write(data)
 

@@ -8,6 +8,7 @@ replayed exactly.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -30,7 +31,8 @@ class ManifestRow:
     def __post_init__(self):
         if self.split not in SPLITS:
             raise ValueError(f"split must be one of {SPLITS}, got {self.split!r}")
-        if not 0 <= self.sigma <= SIGMA_MAX:
+        # an integer: save writes the value as it is, and load reads an int
+        if not (isinstance(self.sigma, numbers.Integral) and 0 <= self.sigma <= SIGMA_MAX):
             raise ValueError(f"sigma must be an integer in 0..{SIGMA_MAX:g}, got {self.sigma}")
         if "," in self.clean_path or "\n" in self.clean_path:
             raise ValueError(f"path not representable in manifest: {self.clean_path!r}")

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,7 +74,11 @@ class ModelConfig:
     sigma_high: int = 50
 
     def __post_init__(self):
-        object.__setattr__(self, "stage_widths", tuple(int(v) for v in self.stage_widths))
+        # plain ints, whatever integer type built the config; 3.0 is rejected
+        for f in fields(self):
+            value = getattr(self, f.name)
+            object.__setattr__(self, f.name, tuple(map(operator.index, value))
+                               if f.name == "stage_widths" else operator.index(value))
         self.validate()
 
     def validate(self) -> None:

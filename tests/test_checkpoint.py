@@ -189,8 +189,11 @@ def save(params, path, training):
 @pytest.mark.parametrize("training", [False, True])
 def test_save_rejected_while_serializing_creates_no_file(tmp_path, training):
     path = tmp_path / "rejected.ckpt"
-    with pytest.raises(CheckpointError, match="name too long"):
+    # the first tensor named, "x" * 65536 + ".weight", encodes to 65543 bytes
+    with pytest.raises(CheckpointError, match="name too long: 65543 bytes") as err:
         save(long_named_params(14), path, training)
+    assert str(err.value).startswith(f"{path}: ")
+    assert len(str(err.value)) < len(str(path)) + 80  # a prefix of the name, not all of it
     assert not path.exists()
 
 

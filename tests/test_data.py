@@ -51,6 +51,9 @@ class TestBuildManifest:
         clean_dir, _ = corpus8
         with pytest.raises(ValueError):
             build_manifest(clean_dir, [51], base_seed=1)
+        for sigma in (51, -1, 25.5):  # 25.5 would be saved as a value load rejects
+            with pytest.raises(ValueError, match="sigma must be an integer in 0..50"):
+                ManifestRow("a.png", sigma, 1, "train")
 
     def test_per_row_seeds_unique(self, corpus8):
         clean_dir, _ = corpus8

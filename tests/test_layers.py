@@ -72,6 +72,17 @@ class TestConv2d:
         with pytest.raises(ValueError, match=r"bias shape \(1,\) does not match spec \(4,\)"):
             conv2d(rand64(2, (1, 3, 8, 8)), spec, lp)
 
+    def test_numpy_integers_build_the_same_spec(self):
+        spec = ConvSpec(np.int64(16), np.int32(8), kernel=np.int64(3),
+                        stride=(np.int64(2), 2), dilation=np.uint8(1))
+        plain = ConvSpec(16, 8, kernel=3, stride=2)
+        assert spec == plain and hash(spec) == hash(plain)
+        assert all(type(v) is int for v in (spec.in_channels, spec.out_channels, *spec.kernel,
+                                            *spec.stride, *spec.dilation))
+        for bad in (dict(kernel=3.0), dict(stride=(2, 2.0)), dict(in_channels=16.0)):
+            with pytest.raises(TypeError):
+                ConvSpec(**{"in_channels": 16, "out_channels": 8, **bad})
+
     def test_valid_padding_too_small_rejected(self):
         spec = ConvSpec(1, 1, kernel=5, padding="valid")
         lp = init_params(spec, 0, dtype=np.float64)

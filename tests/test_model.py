@@ -56,6 +56,17 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(base_width=0)
 
+    def test_numpy_integers_build_the_same_config(self):
+        config = ModelConfig(base_width=np.int64(16), stage_widths=np.array([24, 32, 48, 64]),
+                             sigma_high=np.int32(50))
+        assert config == ModelConfig() and hash(config) == hash(ModelConfig())
+        values = [getattr(config, f.name) for f in dataclasses.fields(config)]
+        assert all(type(v) is int for v in values if v is not config.stage_widths)
+        assert all(type(v) is int for v in config.stage_widths)
+        for bad in (dict(base_width=16.0), dict(stage_widths=(24, 32, 48, 64.0))):
+            with pytest.raises(TypeError):
+                ModelConfig(**bad)
+
     def test_replace_validates(self):
         with pytest.raises(ValueError, match="sigma range"):
             dataclasses.replace(SMALL, sigma_low=60)
@@ -537,10 +548,45 @@ class TestMemoryGuard:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # 28.0 MiB; 31.0 when every backward copied the gradient it passed on or
-        # allocated a sibling's input gradient to add; 35.4 when the residual
-        # addends and tail kept their values
-        assert peak <= 29 << 20
+        # 26.4 MiB; 28.0 when each conv summed the whole batch's input gradient
+        # before cropping it; 31.0 when every backward copied the gradient it
+        # passed on or allocated a sibling's input gradient to add; 35.4 when
+        # the residual addends and tail kept their values
+        assert peak <= 27 << 20
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_input_gradient_is_summed_one_image_group_at_a_time(self, stride):
+        # One backward of a relu-fused 3x3 conv whose input already has a
+        # gradient. Inside sharing_maps() the forward's maps stay, as they do for
+        # a branch whose sibling rebuilt them, so the backward holds the pitched
+        # output gradient, one image group's sums and one tap's partial sums,
+        # plus numpy's own buffers; never a whole-batch phase gradient (2.06 MiB
+        # at stride 1, where the backward peaked 3.66 MiB above its inputs).
+        spec = layers.ConvSpec(16, 8, stride=stride, relu=True)
+        params = layers.init_params(spec, 23)
+        x = Tensor(rng.uniform(39, 8 * 16 * 64 * 64).reshape(8, 16, 64, 64).astype(np.float32),
+                   requires_grad=True)
+        plan = layers._plan(64, 64, spec)
+        rows = plan.cuts[0][1][0]
+        length = (rows.stop - rows.start) * plan.wq
+        images = layers._blocks(8, 16, length)[0][0]
+        group = (images.stop - images.start) * 16 * length * 4
+        assert images.stop < 8  # the batch is more than one group
+        for _ in range(2):  # the first run plans and caches
+            with layers.sharing_maps():
+                out = conv2d(x, spec, params)
+                x.grad = np.zeros(x.shape, dtype=np.float32)
+                g = rng.uniform(40, out.size).reshape(out.shape).astype(np.float32) - 0.5
+                pitched = layers._pitched(g, plan).base.nbytes
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    out._backward(g)
+                    peak = tracemalloc.get_traced_memory()[1] - start
+                finally:
+                    tracemalloc.stop()
+        # stride 1: 1.63 MiB, 3.66 before; stride 2: 1.02 MiB, 1.31 before
+        assert peak <= pitched + 2 * group + (256 << 10)
 
     def test_recorded_step_copies_only_concat_parts_and_second_addends(self, monkeypatch):
         # every other gradient goes owned to its tensor or is added into its .grad
