@@ -11,6 +11,7 @@ recoverable.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 
 from .model import ModelConfig
@@ -35,12 +36,11 @@ class TrainConfig:
     epoch_seed: int = 2
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if type(f.default) is int:  # a plain int, whatever integer type; 2.5 is rejected
+                object.__setattr__(self, f.name, operator.index(value))
+            elif isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
             raise ValueError("beta1 and beta2 must lie in (0, 1)")

@@ -9,6 +9,7 @@ replayed exactly.
 from __future__ import annotations
 
 import numbers
+import operator
 import os
 from dataclasses import dataclass
 
@@ -138,7 +139,12 @@ def build_manifest(clean_dir, sigma_set, base_seed: int,
     is then shuffled deterministically by base_seed and split with the first
     split_ratio fraction as train.
     """
-    sigmas = [int(s) for s in sigma_set]
+    sigmas = []
+    for s in sigma_set:  # plain ints, whatever integer type; 25.5 or "7" is no sigma
+        try:
+            sigmas.append(operator.index(s))
+        except TypeError:
+            raise ValueError(f"sigma values must be integers, got {s!r}") from None
     if not sigmas:
         raise ValueError("sigma_set must be non-empty")
     for s in sigmas:

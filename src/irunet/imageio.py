@@ -42,6 +42,8 @@ def _png_chunks(buf: bytes, path):
         yield ctype, data
         pos = data_end + 4
         if ctype == b"IEND":
+            if pos < len(buf):
+                raise ImageFormatError(f"{path}: {len(buf) - pos} bytes after IEND")
             return
 
 

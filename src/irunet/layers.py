@@ -27,9 +27,13 @@ inflated with zero taps (the exact dilation oracle in the tests), and builds
 no buffer kh*kw times the size of the input. Two kinds of conv run as one
 GEMM instead:
 - Where no two taps share an input pixel (1x1 kernels, 2x2 stride-2
-  kernels), each tap reads a whole phase map, and the conv is one GEMM over
-  the stacked maps: a plain matmul at 1x1 stride 1, subsample-then-GEMM at
-  1x1 stride 2, and GEMM plus pixel shuffle at 2x2 stride 2.
+  kernels: a `disjoint` plan), tap t reads all of phase map t. The forward
+  pass is then one GEMM of the stacked weights over the stacked maps, and
+  the input gradient one of their transpose over the output rows, phase p's
+  gradient in rows p*C onwards. Only the GEMM differs from a tap conv: the
+  same pitched output and crop (a view, as wq == out_w), and the same
+  per-phase crop into the input's gradient, which at 2x2 stride 2 is the
+  pixel shuffle (Shi et al., 2016).
 - A stride-1, dilation-1 conv with a kernel of at most 3x3 on at most 4
   input channels (the model's `head`, 3 -> 16) is too thin for per-tap
   matmuls with K = C. Its forward pass and weight gradient copy the tap
@@ -303,17 +307,14 @@ def _plan(h: int, w: int, spec: ConvSpec) -> _Plan:
     is_view = (sh, sw) == (1, 1) and fills_maps and covered == h * w
     disjoint = all(t == p and off == 0 for t, (p, off) in enumerate(taps))
     # The pitched output gradient spans the output rows, which hold the weight
-    # gradient's window, and every window the input gradient reads: a whole
-    # phase map (disjoint), or per tap its phase map's input rows shifted back
-    # by the tap's offset.
+    # gradient's window and a disjoint plan's one GEMM (hq == out_h there), and
+    # every window the input gradient reads: per tap, its phase map's input
+    # rows shifted back by the tap's offset.
     lo, hi = 0, out_h * wq
-    if disjoint:
-        hi = hq * wq
-    else:
-        for p, off in taps:
-            rows = cuts[p][1][0]
-            if rows.start < rows.stop:
-                lo, hi = min(lo, rows.start * wq - off), max(hi, rows.stop * wq - off)
+    for p, off in taps:
+        rows = cuts[p][1][0]
+        if rows.start < rows.stop:
+            lo, hi = min(lo, rows.start * wq - off), max(hi, rows.stop * wq - off)
     stacked = ((sh, sw) == (dh, dw) == (1, 1) and kh <= 3 and kw <= 3
                and channels <= _STACK_CHANNELS and not disjoint)
     return _Plan(out_h, out_w, hq, wq, tuple(taps), tuple(cuts), covered == h * w, is_view,
@@ -332,23 +333,6 @@ def _to_phases(x: np.ndarray, plan: _Plan) -> np.ndarray:
         q[..., rows, :cols.start] = q[..., rows, cols.stop:] = 0
         q[..., rows, cols] = x[:, :, xs[0], xs[1]]
     return xq.reshape(n, len(plan.cuts), c, plan.hq * plan.wq)
-
-
-def _from_phases(gq: np.ndarray, plan: _Plan, x_shape, gx: np.ndarray | None = None) -> np.ndarray:
-    """Adjoint of _to_phases: gather phase-map gradients back onto the input grid.
-
-    Given `gx`, they are added into it, and gx is returned.
-    """
-    n, c = x_shape[:2]
-    gq = gq.reshape(n, len(plan.cuts), c, plan.hq, plan.wq)
-    if plan.is_view and gx is None:
-        return gq.reshape(x_shape)
-    add = gx is not None
-    if not add:
-        gx = (np.empty if plan.fills_input else np.zeros)(x_shape, dtype=gq.dtype)
-    for p, (xs, qs) in enumerate(plan.cuts):
-        _write(gx[:, :, xs[0], xs[1]], gq[:, p, :, qs[0], qs[1]], add)
-    return gx
 
 
 def _write(dst: np.ndarray, src: np.ndarray, add: bool) -> None:
@@ -502,11 +486,10 @@ def _conv2d_raw(xq: np.ndarray, weight: np.ndarray, plan: _Plan) -> np.ndarray:
     """Cross-correlation without bias, from the input's phase maps xq; weight [O,C,kh,kw]."""
     n = xq.shape[0]
     out_c = weight.shape[0]
-    if plan.disjoint:
-        y = np.matmul(_stacked_weights(weight), xq.reshape(n, -1, plan.hq * plan.wq))
-        return y.reshape(n, out_c, plan.out_h, plan.out_w)
     y = np.empty((n, out_c, plan.out_h * plan.wq), dtype=xq.dtype)
-    if plan.stacked:
+    if plan.disjoint:  # one GEMM over the stacked maps; wq == out_w, so the crop copies nothing
+        np.matmul(_stacked_weights(weight), xq.reshape(n, -1, plan.hq * plan.wq), out=y)
+    elif plan.stacked:
         wst = _stacked_weights(weight)
         for bn, bk, stack in _stacks(xq, plan, sum(wst.shape)):
             np.matmul(wst, stack, out=y[bn, :, bk])
@@ -541,25 +524,34 @@ def _conv2d_grad_x(gp: np.ndarray, weight: np.ndarray, x_shape, plan: _Plan,
 
     Each phase-map pixel gathers, tap by tap, the gradient of the output
     pixel that read it: the forward tap sum run backwards over the windows.
-    Only the map rows that hold input pixels are summed, not the margins.
+    Only the map rows that hold input pixels are summed, not the margins. A
+    disjoint plan sums all taps in one GEMM instead, phase p in rows p*C on.
     Given `gx` (the input's gradient so far), each phase's crop is added into
     it and gx is returned; otherwise the gradient is a fresh array.
     """
     n, c = x_shape[:2]
-    if plan.disjoint:
-        return _from_phases(np.matmul(_stacked_weights(weight).T, gp), plan, x_shape, gx)
     add = gx is not None
+    if plan.disjoint:
+        gq = np.matmul(_stacked_weights(weight).T, gp[..., plan.lead:plan.lead + plan.length])
+        if plan.is_view and not add:
+            return gq.reshape(x_shape)  # the one phase map is the input itself
+    else:
+        weights = _tap_weights(weight)
     if not add:
         gx = (np.empty if plan.fills_input else np.zeros)(x_shape, dtype=gp.dtype)
-    weights = _tap_weights(weight)
     for p, (xs, (rows, cols)) in enumerate(plan.cuts):
         if rows.stop <= rows.start:
             continue  # a phase of a tiny map can hold no input row
-        start = plan.lead + rows.start * plan.wq
-        taps = [(wt.T, gp, start - off) for wt, (tp, off) in zip(weights, plan.taps) if tp == p]
-        for bn, gq in _tap_sum(taps, c, (rows.stop - rows.start) * plan.wq):
-            _write(gx[bn, :, xs[0], xs[1]], gq.reshape(len(gq), c, -1, plan.wq)[..., cols], add)
-        del gq  # the next phase's scratch then reuses this one's memory
+        first, length = rows.start * plan.wq, (rows.stop - rows.start) * plan.wq
+        if plan.disjoint:
+            groups = [(slice(0, n), gq[:, p * c:(p + 1) * c, first:first + length])]
+        else:
+            taps = [(wt.T, gp, plan.lead + first - off)
+                    for wt, (tp, off) in zip(weights, plan.taps) if tp == p]
+            groups = _tap_sum(taps, c, length)
+        for bn, sums in groups:
+            _write(gx[bn, :, xs[0], xs[1]], sums.reshape(len(sums), c, -1, plan.wq)[..., cols], add)
+        del sums  # the next phase's scratch then reuses this one's memory
     return gx
 
 

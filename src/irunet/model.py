@@ -79,9 +79,6 @@ class ModelConfig:
             value = getattr(self, f.name)
             object.__setattr__(self, f.name, tuple(map(operator.index, value))
                                if f.name == "stage_widths" else operator.index(value))
-        self.validate()
-
-    def validate(self) -> None:
         if len(self.stage_widths) != 4:
             raise ValueError(f"stage_widths must have 4 entries, got {self.stage_widths}")
         if any(v < 1 for v in self.stage_widths):

@@ -49,11 +49,25 @@ class TestBuildManifest:
 
     def test_sigma_out_of_range_rejected(self, corpus8):
         clean_dir, _ = corpus8
-        with pytest.raises(ValueError):
-            build_manifest(clean_dir, [51], base_seed=1)
+        for sigma in (51, -1, np.int64(51)):
+            with pytest.raises(ValueError, match=r"sigma values must lie in 0\.\.50, got"):
+                build_manifest(clean_dir, [sigma], base_seed=1)
         for sigma in (51, -1, 25.5):  # 25.5 would be saved as a value load rejects
             with pytest.raises(ValueError, match="sigma must be an integer in 0..50"):
                 ManifestRow("a.png", sigma, 1, "train")
+
+    def test_non_integer_sigma_rejected(self, corpus8):
+        clean_dir, _ = corpus8
+        for sigma, shown in ((25.5, "25.5"), (25.0, "25.0"), ("7", "'7'"), (None, "None")):
+            with pytest.raises(ValueError, match=re.escape(f"must be integers, got {shown}")):
+                build_manifest(clean_dir, [10, sigma], base_seed=1)
+
+    def test_numpy_integer_sigmas_become_plain_ints(self, corpus8):
+        clean_dir, _ = corpus8
+        plain = build_manifest(clean_dir, [10, 25], base_seed=1)
+        wide = build_manifest(clean_dir, np.array([10, 25], dtype=np.int16), base_seed=1)
+        assert wide.rows == plain.rows
+        assert all(type(r.sigma) is int for r in wide.rows)
 
     def test_per_row_seeds_unique(self, corpus8):
         clean_dir, _ = corpus8

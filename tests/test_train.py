@@ -223,11 +223,21 @@ class TestTrainLoop:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            tconf(learning_rate=0.0).validate()
+            tconf(learning_rate=0.0)
         with pytest.raises(ValueError):
-            tconf(beta1=1.0).validate()
+            tconf(beta1=1.0)
         with pytest.raises(ValueError):
-            tconf(batch_size=0).validate()
+            tconf(batch_size=0)
+
+    def test_integer_fields_take_any_integer_type_and_reject_floats(self):
+        config = tconf(batch_size=np.int64(3), max_steps=np.int32(8), init_seed=np.uint8(5))
+        assert config == tconf() and hash(config) == hash(tconf())
+        assert all(type(getattr(config, f.name)) is int
+                   for f in dataclasses.fields(config) if type(f.default) is int)
+        for bad in (dict(batch_size=2.5), dict(max_steps=10.0), dict(init_seed=1.5),
+                    dict(checkpoint_every="4"), dict(epoch_seed=None)):
+            with pytest.raises(TypeError):
+                tconf(**bad)
 
 
 class TestGradcheckHarness:
