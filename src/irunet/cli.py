@@ -145,6 +145,8 @@ def _denoise_one(params, config, in_path, out_path) -> float:
 
 
 def cmd_denoise(args) -> int:
+    if not os.path.isdir(args.input):
+        imageio.image_writer(args.output)  # reject the output format before any work
     loaded = load_checkpoint(args.checkpoint)
     if os.path.isdir(args.input):
         names = list_images(args.input)
@@ -178,6 +180,7 @@ def cmd_evaluate(args) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         with open(args.out, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
         print(f"report written to {args.out}")

@@ -121,7 +121,6 @@ _COLOR_TYPE_NAMES = {0: "grayscale", 3: "palette", 4: "grayscale+alpha", 6: "RGB
 
 def _load_png(buf: bytes, path) -> np.ndarray:
     idat = bytearray()
-    seen_iend = False
     for i, (ctype, data) in enumerate(_png_chunks(buf, path)):
         if (ctype == b"IHDR") != (i == 0):
             raise ImageFormatError(f"{path}: chunk {i} is {ctype!r}, but IHDR must be "
@@ -143,12 +142,10 @@ def _load_png(buf: bytes, path) -> np.ndarray:
                 raise ImageFormatError(f"{path}: PNG has zero width or height")
         elif ctype == b"IDAT":
             idat.extend(data)
-        elif ctype == b"IEND":
-            seen_iend = True
-        elif ctype[:1].isupper() and ctype != b"PLTE":
+        elif ctype[:1].isupper() and ctype not in (b"PLTE", b"IEND"):
             # a critical chunk (upper-case first letter) a decoder must not skip
             raise ImageFormatError(f"{path}: unknown critical PNG chunk {ctype!r}")
-    if not seen_iend or not idat:
+    if not idat:
         raise ImageFormatError(f"{path}: missing image data")
     # one byte past the pixel data shows too much without inflating the rest;
     # IHDR sizes can pass the largest length zlib takes
@@ -243,22 +240,25 @@ def load_image(path) -> np.ndarray:
     raise ImageFormatError(f"{path}: unsupported image format (PNG or PPM P6 required)")
 
 
+def image_writer(path):
+    """The writer of uint8 [H,W,3] images that `path`'s extension (.png/.ppm) selects."""
+    name = str(path).lower()
+    if name.endswith(".png"):
+        return _save_png
+    if name.endswith(".ppm"):
+        return _save_ppm
+    raise ImageFormatError(f"{path}: unsupported output extension (.png or .ppm)")
+
+
 def save_image(img: np.ndarray, path) -> None:
-    """Write uint8 [H,W,3] losslessly; format chosen by extension (.png/.ppm)."""
+    """Write uint8 [H,W,3] losslessly; format chosen by extension (image_writer)."""
     if not isinstance(img, np.ndarray) or img.dtype != np.uint8:
         raise ImageFormatError("save_image expects a uint8 array")
     if img.ndim != 3 or img.shape[2] != 3:
         raise ImageFormatError(f"save_image expects [H,W,3] RGB, got shape {img.shape}")
     if img.shape[0] == 0 or img.shape[1] == 0:
         raise ImageFormatError(f"save_image expects a non-empty image, got shape {img.shape}")
-    name = str(path).lower()
-    img = np.ascontiguousarray(img)
-    if name.endswith(".png"):
-        _save_png(img, path)
-    elif name.endswith(".ppm"):
-        _save_ppm(img, path)
-    else:
-        raise ImageFormatError(f"{path}: unsupported output extension (.png or .ppm)")
+    image_writer(path)(np.ascontiguousarray(img), path)
 
 
 def to_batch(imgs: list[np.ndarray]) -> Tensor:

@@ -46,6 +46,10 @@ GEMM instead:
   matches the zero-inflation of a 2x2 kernel at dilation 2 only within
   rounding.
 
+All three GEMM shapes read one weight layout, [O, kh*kw*C] (_stacked_weights):
+tap t's [O, C] matrix is columns t*C to (t+1)*C, a view for a per-tap matmul,
+and the weight gradient is summed in the same layout.
+
 The transposed convolution is defined as the linear adjoint of the
 same-spec convolution: its forward pass is the convolution's input
 gradient, so output spatial extent = input * stride.
@@ -79,6 +83,7 @@ from __future__ import annotations
 import operator
 import weakref
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -86,7 +91,7 @@ from typing import Iterator
 import numpy as np
 
 from . import rng
-from .tensor import Tensor, observed
+from .tensor import Tensor, _setting, observed
 
 
 def _pair(v) -> tuple[int, int]:
@@ -468,14 +473,8 @@ def _stacks(xq: np.ndarray, plan: _Plan, rows: int) -> Iterator[tuple[slice, sli
         yield bn, bk, stack.reshape(nb, kh * kw * c, width)
 
 
-def _tap_weights(weight: np.ndarray) -> np.ndarray:
-    """[O, C, kh, kw] -> [kh*kw, O, C]: one contiguous matrix per tap."""
-    o, c, kh, kw = weight.shape
-    return np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
-
-
 def _stacked_weights(weight: np.ndarray) -> np.ndarray:
-    """[O, C, kh, kw] -> [O, kh*kw*C]: the taps side by side, as maps or windows are stacked."""
+    """[O, C, kh, kw] -> [O, kh*kw*C], every kernel's weights: tap t's in columns t*C on."""
     o = weight.shape[0]
     return np.ascontiguousarray(weight.transpose(0, 2, 3, 1)).reshape(o, -1)
 
@@ -484,17 +483,17 @@ def _stacked_weights(weight: np.ndarray) -> np.ndarray:
 
 def _conv2d_raw(xq: np.ndarray, weight: np.ndarray, plan: _Plan) -> np.ndarray:
     """Cross-correlation without bias, from the input's phase maps xq; weight [O,C,kh,kw]."""
-    n = xq.shape[0]
+    n, _, c = xq.shape[:3]
     out_c = weight.shape[0]
+    wst = _stacked_weights(weight)
     y = np.empty((n, out_c, plan.out_h * plan.wq), dtype=xq.dtype)
     if plan.disjoint:  # one GEMM over the stacked maps; wq == out_w, so the crop copies nothing
-        np.matmul(_stacked_weights(weight), xq.reshape(n, -1, plan.hq * plan.wq), out=y)
+        np.matmul(wst, xq.reshape(n, -1, plan.hq * plan.wq), out=y)
     elif plan.stacked:
-        wst = _stacked_weights(weight)
         for bn, bk, stack in _stacks(xq, plan, sum(wst.shape)):
             np.matmul(wst, stack, out=y[bn, :, bk])
     else:
-        taps = [(wt, xq[:, p], off) for wt, (p, off) in zip(_tap_weights(weight), plan.taps)]
+        taps = [(wst[:, t * c:(t + 1) * c], xq[:, p], off) for t, (p, off) in enumerate(plan.taps)]
         for _ in _tap_sum(taps, out_c, plan.length, y):
             pass  # the sums land in y
     return np.ascontiguousarray(y.reshape(n, out_c, plan.out_h, plan.wq)[..., :plan.out_w])
@@ -506,16 +505,15 @@ def _conv2d_grad_w(xq: np.ndarray, gp: np.ndarray, plan: _Plan) -> np.ndarray:
     out_c = gp.shape[1]
     kh, kw = plan.kernel
     gp = gp[..., plan.lead:plan.lead + plan.length]
+    gw = np.zeros((out_c, kh * kw * c), dtype=xq.dtype)
     if plan.stacked:
-        gw = np.zeros((out_c, kh * kw * c), dtype=xq.dtype)
         for bn, bk, stack in _stacks(xq, plan, sum(gw.shape)):
             gw += np.matmul(gp[bn, :, bk], stack.transpose(0, 2, 1)).sum(axis=0)
-        return np.ascontiguousarray(gw.reshape(out_c, kh, kw, c).transpose(0, 3, 1, 2))
-    gw = np.empty((kh * kw, out_c, c), dtype=xq.dtype)
-    for t, (p, off) in enumerate(plan.taps):
-        window = xq[:, p, :, off:off + plan.length]
-        np.matmul(gp, window.transpose(0, 2, 1)).sum(axis=0, out=gw[t])
-    return np.ascontiguousarray(gw.reshape(kh, kw, out_c, c).transpose(2, 3, 0, 1))
+    else:
+        for t, (p, off) in enumerate(plan.taps):
+            window = xq[:, p, :, off:off + plan.length]
+            np.matmul(gp, window.transpose(0, 2, 1)).sum(axis=0, out=gw[:, t * c:(t + 1) * c])
+    return np.ascontiguousarray(gw.reshape(out_c, kh, kw, c).transpose(0, 3, 1, 2))
 
 
 def _conv2d_grad_x(gp: np.ndarray, weight: np.ndarray, x_shape, plan: _Plan,
@@ -531,12 +529,11 @@ def _conv2d_grad_x(gp: np.ndarray, weight: np.ndarray, x_shape, plan: _Plan,
     """
     n, c = x_shape[:2]
     add = gx is not None
+    wst = _stacked_weights(weight)
     if plan.disjoint:
-        gq = np.matmul(_stacked_weights(weight).T, gp[..., plan.lead:plan.lead + plan.length])
+        gq = np.matmul(wst.T, gp[..., plan.lead:plan.lead + plan.length])
         if plan.is_view and not add:
             return gq.reshape(x_shape)  # the one phase map is the input itself
-    else:
-        weights = _tap_weights(weight)
     if not add:
         gx = (np.empty if plan.fills_input else np.zeros)(x_shape, dtype=gp.dtype)
     for p, (xs, (rows, cols)) in enumerate(plan.cuts):
@@ -546,8 +543,8 @@ def _conv2d_grad_x(gp: np.ndarray, weight: np.ndarray, x_shape, plan: _Plan,
         if plan.disjoint:
             groups = [(slice(0, n), gq[:, p * c:(p + 1) * c, first:first + length])]
         else:
-            taps = [(wt.T, gp, plan.lead + first - off)
-                    for wt, (tp, off) in zip(weights, plan.taps) if tp == p]
+            taps = [(wst[:, t * c:(t + 1) * c].T, gp, plan.lead + first - off)
+                    for t, (tp, off) in enumerate(plan.taps) if tp == p]
             groups = _tap_sum(taps, c, length)
         for bn, sums in groups:
             _write(gx[bn, :, xs[0], xs[1]], sums.reshape(len(sums), c, -1, plan.wq)[..., cols], add)
@@ -595,7 +592,8 @@ class _Maps:
         return self.xq
 
 
-_slot: list[_Maps] | None = None  # inside sharing_maps(): [the last conv's maps]
+# inside sharing_maps(): [the last conv's maps]
+_slot: ContextVar[list[_Maps] | None] = ContextVar("slot", default=None)
 
 
 @contextmanager
@@ -607,13 +605,12 @@ def sharing_maps() -> Iterator[None]:
     ends, drop their forward copy, so none outlives the siblings; backward
     rebuilds them once, at their first reader.
     """
-    global _slot
-    prev, _slot = _slot, [_Maps(None, None)]
-    try:
-        yield
-    finally:
-        _slot[0].xq = None
-        _slot = prev
+    slot = [_Maps(None, None)]
+    with _setting(_slot, slot):
+        try:
+            yield
+        finally:
+            slot[0].xq = None
 
 
 @observed("conv2d")
@@ -624,13 +621,14 @@ def conv2d(x: Tensor, spec: ConvSpec, params: LayerParams) -> Tensor:
     _check_layer_input(x, spec, params)
     weight, bias = params.weight, params.bias
     plan = _plan(x.shape[2], x.shape[3], spec)
-    slot = _slot or [_Maps(None, None)]  # outside sharing_maps(), a slot of its own
+    shared = _slot.get()
+    slot = shared or [_Maps(None, None)]  # outside sharing_maps(), a slot of its own
     maps = slot[0]
     if maps.x is not x or maps.plan.layout != plan.layout:
         maps.xq = None
         maps = slot[0] = _Maps(x, plan)
     y = _conv2d_raw(maps.get(), weight.data, plan)
-    if _slot is None:
+    if shared is None:
         maps.xq = None  # no sibling reads it: backward rebuilds the maps
     y += bias.data[None, :, None, None]
     if spec.relu:

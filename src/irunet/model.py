@@ -53,9 +53,12 @@ _BAND_PIXELS = 16 * 1024
 # past its own, so it starts on an even row, as the stride-2 layers need, and
 # holds an even number of half-resolution rows. Then each image's
 # enc1.red.reduce GEMM (K = 32) spans a multiple of 16 columns in every band,
-# as it does over the whole image: OpenBLAS's Haswell sgemm rounds a last
+# as it does over the whole image: OpenBLAS's SkylakeX sgemm rounds a last
 # partial block of 1 to 8 columns differently at K >= 32, which changed the
 # last bits of a 336x80 output when its last band held 9 half-resolution rows.
+# This makes bands bit-identical to one pass under the SkylakeX kernel only:
+# under Haswell-class kernels (AVX2 CPUs, Zen included) a column's bits also
+# depend on its position in the call, and bands differ by 1 ulp (ROADMAP item 3).
 _BAND_STEP = 4
 
 

@@ -23,52 +23,54 @@ from __future__ import annotations
 
 import functools
 from contextlib import AbstractContextManager, contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-_grad_enabled = True
-_observer: Callable | None = None
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
+_observer: ContextVar[Callable | None] = ContextVar("observer", default=None)
 
 
 @contextmanager
-def _setting(name: str, value) -> Iterator[None]:
-    """Set the module global `name` to `value` inside the block; blocks nest."""
-    prev = globals()[name]
-    globals()[name] = value
+def _setting(var: ContextVar, value) -> Iterator[None]:
+    """Set `var` to `value` inside the block, in the calling thread's context only; blocks nest."""
+    token = var.set(value)
     try:
         yield
     finally:
-        globals()[name] = prev
+        var.reset(token)
 
 
 def no_grad() -> AbstractContextManager[None]:
-    """Disable graph recording inside the block (inference / data prep)."""
-    return _setting("_grad_enabled", False)
+    """Disable graph recording inside the block (inference / data prep), in the calling thread."""
+    return _setting(_grad_enabled, False)
 
 
 def observe_ops(observer: Callable) -> AbstractContextManager[None]:
     """Inside the block, each call of an @observed op becomes `observer(op, fn, args)`.
 
     The observer must return fn(*args); it may also read the arguments, time
-    the call or run fn on other arguments.
+    the call or run fn on other arguments. Like no_grad(), the block holds for
+    the calling thread only.
     """
-    return _setting("_observer", observer)
+    return _setting(_observer, observer)
 
 
 def records_graph(inputs: Iterable["Tensor"]) -> bool:
     """Whether an op on `inputs` records a graph: grad is enabled and some input requires grad."""
-    return _grad_enabled and any(t.requires_grad for t in inputs)
+    return _grad_enabled.get() and any(t.requires_grad for t in inputs)
 
 
 def observed(op: str) -> Callable:
-    """Decorate `fn` so an installed observer sees its calls as `op`; else one None check."""
+    """Decorate `fn` so an installed observer sees its calls as `op`; else one lookup."""
     def decorate(fn: Callable) -> Callable:
         @functools.wraps(fn)
         def call(*args):
-            return fn(*args) if _observer is None else _observer(op, fn, args)
+            observer = _observer.get()
+            return fn(*args) if observer is None else observer(op, fn, args)
         return call
     return decorate
 

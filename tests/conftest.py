@@ -1,3 +1,7 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,22 @@ from irunet import rng
 from irunet.imageio import quantize, save_image
 from irunet.model import forward
 from irunet.tensor import observe_ops
+
+
+def blas_kernel() -> str:
+    """The OpenBLAS kernel numpy's GEMMs run on (SkylakeX, Haswell, ...), or "unknown".
+
+    Asked of the OpenBLAS numpy bundles in numpy.libs, which picks the kernel
+    from the CPU at load time unless OPENBLAS_CORETYPE names one.
+    """
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    try:
+        corename = ctypes.CDLL(glob.glob(os.path.join(site, "numpy.libs", "*openblas*"))[0])
+        corename = corename.scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def synth_image(seed: int, size: int = 32) -> np.ndarray:

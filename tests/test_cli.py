@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from irunet import model
+from irunet import cli, model
 from irunet.checkpoint import load_checkpoint, save_checkpoint
 from irunet.cli import main
 from irunet.data import DatasetManifest
@@ -406,6 +406,19 @@ class TestDenoiseEvaluate:
         assert "20x20 not divisible by 16" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_denoise_unsupported_output_extension_exits_2_before_any_forward(
+            self, tmp_path, trained, capsys, monkeypatch):
+        _, ckpt = trained
+        src = tmp_path / "a.png"
+        save_image(synth_image(4, size=32), src)
+        calls = []
+        monkeypatch.setattr(cli, "forward", lambda *args: calls.append(args))
+        code = run_cli(["denoise", "--checkpoint", str(ckpt),
+                        "--input", str(src), "--output", str(tmp_path / "a.jpg")])
+        assert code == 2
+        assert "a.jpg: unsupported output extension (.png or .ppm)" in capsys.readouterr().err
+        assert calls == []
+
     def test_denoise_directory_with_summary(self, tmp_path, trained, capsys):
         _, ckpt = trained
         src_dir = tmp_path / "batch"
@@ -448,6 +461,14 @@ class TestDenoiseEvaluate:
         lines = report.read_text().strip().split("\n")
         assert lines[0] == "sigma\tn\tpsnr_mean\tssim_mean\tmae_mean"
         assert lines[-1].startswith("ALL\t")
+
+    def test_evaluate_creates_the_report_directory(self, tmp_path, trained):
+        manifest_path, ckpt = trained
+        report = tmp_path / "new" / "dir" / "report.tsv"
+        assert run_cli(["evaluate", "--checkpoint", str(ckpt),
+                        "--manifest", str(manifest_path), "--split", "train",
+                        "--out", str(report)]) == 0
+        assert report.read_text().startswith("sigma\tn\t")
 
     def test_evaluate_wrong_size_images_exit_2_naming_the_file(self, tmp_path, trained, capsys):
         _, ckpt = trained

@@ -239,6 +239,14 @@ class TestPngDecoding:
         with pytest.raises(ImageFormatError, match=f"tail.png: {len(tail)} bytes after IEND"):
             load_image(path)
 
+    def test_no_idat_rejected(self, tmp_path):
+        path = tmp_path / "empty.png"
+        path.write_bytes(PNG_SIGNATURE
+                         + png_chunk(b"IHDR", struct.pack(">IIBBBBB", 4, 4, 8, 2, 0, 0, 0))
+                         + png_chunk(b"IEND", b""))
+        with pytest.raises(ImageFormatError, match="^.*empty.png: missing image data$"):
+            load_image(path)
+
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "mystery.dat"
         path.write_bytes(b"GIF89a not supported here")

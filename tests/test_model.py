@@ -20,7 +20,7 @@ from irunet.model import (ModelConfig, build_params, forward, inception_block,
                           inception_reduction_block, layer_specs, param_count)
 from irunet.tensor import Tensor, concat_channels, no_grad, observe_ops
 
-from conftest import forward_with_latent, received_grads
+from conftest import blas_kernel, forward_with_latent, received_grads
 
 GOLDEN_DEFAULT_PARAM_COUNT = 133_971
 
@@ -813,7 +813,9 @@ class TestRowBands:
         assert heights["tail"] == full
         assert heights["head"] == entry + full  # the skip is recomputed in each band
         assert banded.dtype == whole.dtype
-        assert np.array_equal(banded, whole)
+        assert np.array_equal(banded, whole), (
+            f"{np.count_nonzero(banded != whole)} values differ from one pass "
+            f"under the OpenBLAS {blas_kernel()} kernel")
 
     def test_halo_covers_dec4_inc_and_tail(self):
         # per stage, its convs' reach rounded up to a multiple of 4: head and enc1.red's

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,7 @@ class TestObserveOps:
         x.relu()
         assert seen == [("outer", "relu"), ("inner", "relu"), ("outer", "relu"),
                         ("failed", "relu"), ("outer", "relu")]
-        assert tensor._observer is None
+        assert tensor._observer.get() is None
 
     def test_observed_op_keeps_its_name_and_docstring(self):
         assert Tensor.relu.__name__ == "relu" and Tensor.backward.__doc__.startswith("Reverse")
@@ -205,6 +207,34 @@ class TestBackward:
             assert records_graph([a, b]) == (a * b).requires_grad == (leaf in (a, b))
             with no_grad():
                 assert not records_graph([a, b]) and not (a * b).requires_grad
+
+    def test_no_grad_blocks_on_two_threads_each_hold_for_their_own(self):
+        # A enters, B enters, A leaves, B leaves: neither exit may undo the other's block
+        leaf = rand64(11, (2,))
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = []
+
+        def thread_a():
+            with no_grad():
+                a_in.set()
+                assert b_in.wait(10)
+            a_out.set()
+
+        def thread_b():
+            assert a_in.wait(10)
+            with no_grad():
+                b_in.set()
+                assert a_out.wait(10)
+                seen.append(records_graph([leaf]))
+            seen.append(records_graph([leaf]))
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen == [False, True]
+        assert records_graph([leaf])
 
 
 class TestConcatChannels:
