@@ -19,8 +19,8 @@ def blas_kernel() -> str:
     """
     site = os.path.dirname(os.path.dirname(np.__file__))
     try:
-        corename = ctypes.CDLL(glob.glob(os.path.join(site, "numpy.libs", "*openblas*"))[0])
-        corename = corename.scipy_openblas_get_corename64_
+        lib = ctypes.CDLL(glob.glob(os.path.join(site, "numpy.libs", "*openblas*"))[0])
+        corename = lib.scipy_openblas_get_corename64_
     except (IndexError, OSError, AttributeError):
         return "unknown"
     corename.restype = ctypes.c_char_p
