@@ -7,6 +7,7 @@ Exit codes are a stable scripting contract: 0 success, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 import time
@@ -15,10 +16,10 @@ from . import gradcheck as gradcheck_mod
 from . import imageio
 from .checkpoint import load_checkpoint
 from .config import build_config, echo_lines, load_run_config
-from .data import (DatasetManifest, IMAGE_EXTENSIONS, build_manifest, list_images)
+from .data import DatasetManifest, build_manifest, list_images
 from .metrics import evaluate_model
 from .model import ModelConfig, check_image_size, forward, layer_specs, param_count
-from .noise import NoiseSpec, corrupt
+from .noise import corrupt
 from .tensor import no_grad
 from .train import NonFiniteLossError, TrainConfig, train
 
@@ -61,7 +62,7 @@ def cmd_corrupt(args) -> int:
     os.makedirs(args.output, exist_ok=True)
     for row in manifest.rows:
         clean = imageio.load_image(manifest.resolve(row))
-        noisy = corrupt(clean, NoiseSpec(sigma=float(row.sigma), seed=row.seed))
+        noisy = corrupt(clean, row.noise)
         stem, ext = os.path.splitext(row.clean_path)
         imageio.save_image(noisy, os.path.join(args.output, f"{stem}_s{row.sigma:02d}{ext}"))
     manifest_path = os.path.join(args.output, args.manifest_name)
@@ -145,16 +146,21 @@ def _denoise_one(params, config, in_path, out_path) -> float:
 
 
 def cmd_denoise(args) -> int:
-    if not os.path.isdir(args.input):
-        imageio.image_writer(args.output)  # reject the output format before any work
-    loaded = load_checkpoint(args.checkpoint)
-    if os.path.isdir(args.input):
+    directory = os.path.isdir(args.input)
+    # reject the input and the output format before any work
+    if directory:
         names = list_images(args.input)
-        skipped = [n for n in os.listdir(args.input)
-                   if os.path.isfile(os.path.join(args.input, n))
-                   and not n.lower().endswith(IMAGE_EXTENSIONS)]
         if not names:
             raise UsageError(f"no supported images (png/ppm) in {args.input}")
+    else:
+        imageio.image_writer(args.output)
+        if not os.path.isfile(args.input):
+            raise UsageError(f"input not found: {args.input}")
+    loaded = load_checkpoint(args.checkpoint)
+    if directory:
+        skipped = [n for n in os.listdir(args.input)
+                   if os.path.isfile(os.path.join(args.input, n))
+                   and not n.lower().endswith(imageio.IMAGE_EXTENSIONS)]
         for name in names:
             seconds = _denoise_one(loaded.params, loaded.config,
                                    os.path.join(args.input, name),
@@ -164,14 +170,14 @@ def cmd_denoise(args) -> int:
             print(f"skipped (unsupported format): {name}")
         print(f"denoised {len(names)} image(s), skipped {len(skipped)}")
     else:
-        if not os.path.isfile(args.input):
-            raise UsageError(f"input not found: {args.input}")
         seconds = _denoise_one(loaded.params, loaded.config, args.input, args.output)
         print(f"{args.input}: {seconds:.3f}s")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
+    if args.out != "-" and os.path.isdir(args.out):  # the error open() would raise, before any work
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     manifest = DatasetManifest.load(args.manifest)
     loaded = load_checkpoint(args.checkpoint)
     report = evaluate_model(loaded.params, loaded.config, manifest, args.split,

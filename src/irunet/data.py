@@ -19,7 +19,6 @@ from .noise import SIGMA_MAX, NoiseSpec, corrupt
 
 MANIFEST_HEADER = "clean_path,sigma,seed,split"
 SPLITS = ("train", "test")
-IMAGE_EXTENSIONS = (".png", ".ppm")
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,11 @@ class ManifestRow:
             raise ValueError(f"sigma must be an integer in 0..{SIGMA_MAX:g}, got {self.sigma}")
         if "," in self.clean_path or "\n" in self.clean_path:
             raise ValueError(f"path not representable in manifest: {self.clean_path!r}")
+
+    @property
+    def noise(self) -> NoiseSpec:
+        """The noise that corrupts this row's clean image."""
+        return NoiseSpec(sigma=float(self.sigma), seed=self.seed)
 
 
 def _instance(root: str, row: ManifestRow) -> tuple[str, int, int]:
@@ -126,7 +130,7 @@ class DatasetManifest:
 
 def list_images(clean_dir) -> list[str]:
     names = sorted(n for n in os.listdir(clean_dir)
-                   if n.lower().endswith(IMAGE_EXTENSIONS)
+                   if n.lower().endswith(imageio.IMAGE_EXTENSIONS)
                    and os.path.isfile(os.path.join(clean_dir, n)))
     return names
 
@@ -197,7 +201,7 @@ def materialize_batch(manifest: DatasetManifest, batch_rows: list[ManifestRow], 
             clean, noisy = cache[key]
         else:
             clean = imageio.load_image(manifest.resolve(row))
-            noisy = corrupt(clean, NoiseSpec(sigma=float(row.sigma), seed=row.seed))
+            noisy = corrupt(clean, row.noise)
             cache[key] = clean, noisy
         cleans.append(clean)
         noisies.append(noisy)

@@ -227,6 +227,12 @@ def _save_ppm(img: np.ndarray, path) -> None:
         f.write(img.tobytes())
 
 
+# The supported image formats by file extension, each with its writer. A
+# reader sniffs the format from the content instead (load_image).
+_WRITERS = {".png": _save_png, ".ppm": _save_ppm}
+IMAGE_EXTENSIONS = tuple(_WRITERS)
+
+
 # ------------------------------------------------------------- public API
 
 def load_image(path) -> np.ndarray:
@@ -243,10 +249,9 @@ def load_image(path) -> np.ndarray:
 def image_writer(path):
     """The writer of uint8 [H,W,3] images that `path`'s extension (.png/.ppm) selects."""
     name = str(path).lower()
-    if name.endswith(".png"):
-        return _save_png
-    if name.endswith(".ppm"):
-        return _save_ppm
+    for ext, writer in _WRITERS.items():
+        if name.endswith(ext):
+            return writer
     raise ImageFormatError(f"{path}: unsupported output extension (.png or .ppm)")
 
 

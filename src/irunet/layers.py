@@ -348,38 +348,17 @@ def _write(dst: np.ndarray, src: np.ndarray, add: bool) -> None:
         dst[...] = src
 
 
-# The pitched output gradient starts each channel's output pixel 0, where the
-# weight gradient's GEMM reads, on a multiple of this many bytes. On a 2-core
-# Xeon (BLAS 1 thread) that made the weight gradient of 8x16x64x64 -> 8 3x3
-# convs 6-7% faster at dilation 1 and 2 (10/10 interleaved pairs each), with
-# bit-identical results.
-_ALIGN = 64
-
-
-def _aligned(size: int, dtype, fill=np.empty) -> np.ndarray:
-    """A flat array of `size` elements (from `fill`) that starts on an _ALIGN-byte boundary."""
-    per = _ALIGN // np.dtype(dtype).itemsize
-    buf = fill(size + per, dtype=dtype)
-    start = -buf.ctypes.data % _ALIGN // buf.itemsize
-    return buf[start:start + size]
-
-
 def _pitched(g: np.ndarray, plan: _Plan) -> np.ndarray:
     """Output gradient at row pitch wq, zeros in the pitch columns and around.
 
     Output pixel k (counted at pitch wq) sits at `plan.lead + k` of an
-    [N, O, span] view, so every window the gradients read, each tap's
-    shifted back by its offset, stays inside it. The view's rows lie in a
-    zeroed buffer at a pitch of whole _ALIGN blocks, placed so that each
-    row's pixel 0 is _ALIGN-aligned, where the weight gradient's GEMM reads.
+    [N, O, span] array, so every window the gradients read, each tap's
+    shifted back by its offset, stays inside it.
     """
     n, o = g.shape[:2]
     if (plan.lead, plan.wq, plan.span) == (0, plan.out_w, plan.out_h * plan.out_w):
         return g.reshape(n, o, plan.span)
-    per = _ALIGN // g.itemsize
-    pad = -plan.lead % per
-    pitch = -(-(pad + plan.span) // per) * per
-    gp = _aligned(n * o * pitch, g.dtype, np.zeros).reshape(n, o, pitch)[..., pad:pad + plan.span]
+    gp = np.zeros((n, o, plan.span), dtype=g.dtype)
     rows = gp[..., plan.lead:plan.lead + plan.out_h * plan.wq]
     rows.reshape(n, o, plan.out_h, plan.wq)[..., :plan.out_w] = g
     return gp
@@ -414,18 +393,15 @@ def _tap_sum(taps, rows: int, length: int,
     a window view, over the group's _blocks. The sums are out[images] when
     `out` is given. Otherwise they are one group-sized scratch that the next
     group overwrites, so no array holds the sums of the whole batch. The
-    scratch and the partial sums are allocated once per call and start
-    _ALIGN-aligned: against a fresh unaligned buffer per block, that ran the
-    stride-1 input gradients of 8x16x64x64 and 8x24x32x32 3x3 convs in
-    0.78-0.87 of the time (2-core Xeon, BLAS 1 thread), with the same sums.
+    scratch and the partial sums are allocated once per call.
     """
     n, dtype = taps[0][1].shape[0], taps[0][1].dtype
     blocks = _blocks(n, max(rows, taps[0][0].shape[1]), length)
     images, positions = blocks[0]  # no later block holds more images or positions
     nb = images.stop - images.start
     if out is None:
-        scratch = _aligned(nb * rows * length, dtype).reshape(nb, rows, length)
-    parts = _aligned(nb * rows * (positions.stop - positions.start), dtype)
+        scratch = np.empty((nb, rows, length), dtype=dtype)
+    parts = np.empty(nb * rows * (positions.stop - positions.start), dtype=dtype)
     for bn, bk in blocks:
         sums = scratch[:bn.stop - bn.start] if out is None else out[bn]
         acc = sums[:, :, bk]
@@ -445,32 +421,23 @@ def _stacks(xq: np.ndarray, plan: _Plan, rows: int) -> Iterator[tuple[slice, sli
     """(images, positions, stack) per block of a stacked plan, in _blocks order.
 
     stack[:, t*C + c, k] = xq[images, 0, c, offset of tap t + k]: the taps'
-    windows on top of each other, so one matmul with the stacked weights
-    (_stacked_weights) sums all taps. At stride 1 and dilation 1, tap (i, j)
-    starts at the first tap's offset + i*wq + j, so one strided view of shape
-    (images, C, kh, kw, positions) holds a block's windows and one copy fills
-    its stack. `rows` sizes the blocks: the stack's kh*kw*C rows plus the O
-    rows of output or gradient it meets, which then share the cache. The
-    stack reuses one buffer of at most _BLOCK elements.
+    windows on top of each other, one slice copy per tap, so one matmul with
+    the stacked weights (_stacked_weights) sums all taps. `rows` sizes the
+    blocks: the stack's kh*kw*C rows plus the O rows of output or gradient it
+    meets, which then share the cache. The stack reuses one buffer of at most
+    _BLOCK elements.
     """
-    n, _, c, span = xq.shape
-    kh, kw = plan.kernel
-    first, last = plan.taps[0][1], plan.taps[-1][1]
-    assert [off for _, off in plan.taps] == [first + i * plan.wq + j
-                                             for i in range(kh) for j in range(kw)]
-    assert 0 <= first and last + plan.length <= span  # every block's view stays inside xq
-    s_n, _, s_c, s_k = xq.strides
+    n, _, c, _ = xq.shape
+    depth = len(plan.taps) * c
     buf = None
     for bn, bk in _blocks(n, rows, plan.length):
         nb, width = bn.stop - bn.start, bk.stop - bk.start
         if buf is None:
-            buf = np.empty(nb * kh * kw * c * width, dtype=xq.dtype)
-        stack = buf[:nb * kh * kw * c * width].reshape(nb, kh, kw, c, width)
-        windows = np.lib.stride_tricks.as_strided(
-            xq[bn, 0, :, first + bk.start:], shape=(nb, c, kh, kw, width),
-            strides=(s_n, s_c, plan.wq * s_k, s_k, s_k), writeable=False)
-        stack.transpose(0, 3, 1, 2, 4)[...] = windows
-        yield bn, bk, stack.reshape(nb, kh * kw * c, width)
+            buf = np.empty(nb * depth * width, dtype=xq.dtype)
+        stack = buf[:nb * depth * width].reshape(nb, -1, c, width)
+        for t, (_, off) in enumerate(plan.taps):
+            stack[:, t] = xq[bn, 0, :, off + bk.start:off + bk.stop]
+        yield bn, bk, stack.reshape(nb, depth, width)
 
 
 def _stacked_weights(weight: np.ndarray) -> np.ndarray:

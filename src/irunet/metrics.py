@@ -17,7 +17,7 @@ import numpy as np
 from . import imageio
 from .data import DatasetManifest
 from .model import check_image_size, forward
-from .noise import NoiseSpec, corrupt
+from .noise import corrupt
 from .tensor import Tensor, no_grad
 
 SSIM_WINDOW = 11
@@ -176,7 +176,7 @@ def evaluate_model(params, config, manifest: DatasetManifest, split: str,
     for row in rows:
         clean = imageio.load_image(manifest.resolve(row))
         check_image_size(clean.shape[0], clean.shape[1], manifest.resolve(row))
-        noisy = corrupt(clean, NoiseSpec(sigma=float(row.sigma), seed=row.seed))
+        noisy = corrupt(clean, row.noise)
         x = imageio.to_batch([noisy])
         with no_grad():
             z = forward(x, config, params)

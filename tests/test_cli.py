@@ -419,6 +419,24 @@ class TestDenoiseEvaluate:
         assert "a.jpg: unsupported output extension (.png or .ppm)" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("kind", ["missing file", "directory without images"])
+    def test_denoise_bad_input_exits_2_before_loading_the_checkpoint(
+            self, tmp_path, trained, capsys, monkeypatch, kind):
+        _, ckpt = trained
+        src = tmp_path / "in"
+        if kind == "directory without images":
+            src.mkdir()
+            (src / "notes.txt").write_text("not an image")
+        loads = []
+        monkeypatch.setattr(cli, "load_checkpoint", lambda *args: loads.append(args))
+        code = run_cli(["denoise", "--checkpoint", str(ckpt),
+                        "--input", str(src), "--output", str(tmp_path / "out.png")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert (f"input not found: {src}" if kind == "missing file"
+                else f"no supported images (png/ppm) in {src}") in err
+        assert loads == []
+
     def test_denoise_directory_with_summary(self, tmp_path, trained, capsys):
         _, ckpt = trained
         src_dir = tmp_path / "batch"
@@ -469,6 +487,35 @@ class TestDenoiseEvaluate:
                         "--manifest", str(manifest_path), "--split", "train",
                         "--out", str(report)]) == 0
         assert report.read_text().startswith("sigma\tn\t")
+
+    def test_evaluate_out_directory_exits_2_before_any_work(self, tmp_path, trained, capsys,
+                                                            monkeypatch):
+        manifest_path, ckpt = trained
+        calls = []
+        load, evaluate = cli.load_checkpoint, cli.evaluate_model
+        monkeypatch.setattr(cli, "load_checkpoint",
+                            lambda *args: calls.append("load") or load(*args))
+        monkeypatch.setattr(cli, "evaluate_model",
+                            lambda *args, **kw: calls.append("evaluate") or evaluate(*args, **kw))
+        code = run_cli(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(manifest_path),
+                        "--split", "train", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
+        assert calls == []
+
+    def test_evaluate_unit_scale_psnr_changes_only_the_psnr_column(self, tmp_path, trained):
+        manifest_path, ckpt = trained
+        columns = []
+        for flag in ([], ["--unit-scale-psnr"]):
+            report = tmp_path / f"report{len(flag)}.tsv"
+            assert run_cli(["evaluate", "--checkpoint", str(ckpt), "--manifest",
+                            str(manifest_path), "--split", "train", "--out", str(report),
+                            *flag]) == 0
+            rows = [line.split("\t") for line in report.read_text().splitlines()[1:]]
+            columns.append(list(zip(*rows)))
+        default, unit = columns
+        assert unit[2] != default[2]  # psnr_mean
+        assert unit[:2] + unit[3:] == default[:2] + default[3:]
 
     def test_evaluate_wrong_size_images_exit_2_naming_the_file(self, tmp_path, trained, capsys):
         _, ckpt = trained

@@ -383,7 +383,7 @@ class TestStackedTaps:
 
 @pytest.mark.parametrize("shape", [(1, 3, 256, 256), (8, 3, 64, 64), (1, 3, 96, 160)])
 def test_stack_copies_each_tap_window(shape):
-    # the model's head: one strided copy per block fills what nine tap copies would
+    # the model's head: each block's stack holds the nine tap windows, one below the other
     spec = ConvSpec(3, 16, kernel=3, relu=True)
     plan = layers._plan(shape[2], shape[3], spec)
     x = rng.uniform(rng.hash64("stack", *shape), int(np.prod(shape))).reshape(shape)
@@ -558,7 +558,7 @@ class TestChannelSliceInputs:
         return [out.data, x.grad, lp.weight.grad, lp.bias.grad]
 
     @pytest.mark.parametrize("geometry, layout", [
-        (dict(kernel=3, padding="valid"), "stacked view"),  # _stacks' as_strided on the input
+        (dict(kernel=3, padding="valid"), "stacked view"),  # _stacks copies windows of the input
         (dict(kernel=1), "view"),
         (dict(kernel=3, stride=2), "phases"),
         (dict(kernel=3, dilation=2), "phases"),

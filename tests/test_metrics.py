@@ -237,6 +237,17 @@ class TestEvaluateModel:
         assert all(s.ssim == pytest.approx(1.0, abs=1e-12) for s in report.scores)
         assert all(s.mae == 0.0 for s in report.scores)
 
+    def test_unit_scale_psnr_scores_the_float_output_on_sigma_zero(self, corpus8):
+        # the float32 output against clean / 255 in float64: rounding error only, so
+        # a finite PSNR where the 8-bit score is inf; SSIM and MAE stay 8-bit
+        clean_dir, _ = corpus8
+        manifest = build_manifest(clean_dir, [0], base_seed=6, split_ratio=1.0)
+        default = evaluate_model(None, None, manifest, "train")
+        unit = evaluate_model(None, None, manifest, "train", unit_scale_psnr=True)
+        assert all(math.isinf(s.psnr_db) for s in default.scores)
+        assert all(100 < s.psnr_db < math.inf for s in unit.scores)
+        assert [(s.ssim, s.mae) for s in unit.scores] == [(s.ssim, s.mae) for s in default.scores]
+
     def test_group_keys_match_manifest(self, corpus8):
         clean_dir, _ = corpus8
         manifest = build_manifest(clean_dir, [10, 25], base_seed=6, split_ratio=1.0)

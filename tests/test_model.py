@@ -577,7 +577,7 @@ class TestMemoryGuard:
                 out = conv2d(x, spec, params)
                 x.grad = np.zeros(x.shape, dtype=np.float32)
                 g = rng.uniform(40, out.size).reshape(out.shape).astype(np.float32) - 0.5
-                pitched = layers._pitched(g, plan).base.nbytes
+                pitched = layers._pitched(g, plan).nbytes
                 tracemalloc.start()
                 try:
                     start = tracemalloc.get_traced_memory()[0]
