@@ -132,6 +132,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_output_dir(path: str) -> None:
+    """Raise the error os.makedirs(path) gives where a file is in the way, creating nothing."""
+    path, missing = os.path.abspath(path), None
+    while not os.path.exists(path):
+        path, missing = os.path.dirname(path), path
+    if os.path.isdir(path):
+        return
+    if missing is None:
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), path)
+    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), missing)
+
+
 def _denoise_one(params, config, in_path, out_path) -> float:
     img = imageio.load_image(in_path)
     check_image_size(img.shape[0], img.shape[1], in_path)
@@ -147,15 +159,17 @@ def _denoise_one(params, config, in_path, out_path) -> float:
 
 def cmd_denoise(args) -> int:
     directory = os.path.isdir(args.input)
-    # reject the input and the output format before any work
+    # reject the input and the output path before any work
     if directory:
         names = list_images(args.input)
         if not names:
             raise UsageError(f"no supported images (png/ppm) in {args.input}")
+        _check_output_dir(args.output)
     else:
         imageio.image_writer(args.output)
         if not os.path.isfile(args.input):
             raise UsageError(f"input not found: {args.input}")
+        _check_output_dir(os.path.dirname(os.path.abspath(args.output)))
     loaded = load_checkpoint(args.checkpoint)
     if directory:
         skipped = [n for n in os.listdir(args.input)
@@ -176,8 +190,10 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.out != "-" and os.path.isdir(args.out):  # the error open() would raise, before any work
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    if args.out != "-":  # the errors writing the report would raise, before any work
+        if os.path.isdir(args.out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+        _check_output_dir(os.path.dirname(os.path.abspath(args.out)))
     manifest = DatasetManifest.load(args.manifest)
     loaded = load_checkpoint(args.checkpoint)
     report = evaluate_model(loaded.params, loaded.config, manifest, args.split,

@@ -36,12 +36,12 @@ GEMM instead:
   pixel shuffle (Shi et al., 2016).
 - A stride-1, dilation-1 conv with a kernel of at most 3x3 on at most 4
   input channels (the model's `head`, 3 -> 16) is too thin for per-tap
-  matmuls with K = C. Its forward pass and weight gradient copy the tap
-  windows of each block into one stack of kh*kw*C rows (the unfolding of
-  Chellapilla et al., 2006, one block at a time) and run one GEMM with
-  K = kh*kw*C per block; its input gradient stays per tap. The stack is
-  never larger than one block. Its sums run in BLAS order, not tap order,
-  so they match the per-tap sums within rounding only. Dilated kernels never
+  matmuls with K = C. Its forward pass copies the tap windows of each block
+  into one stack of kh*kw*C rows (the unfolding of Chellapilla et al., 2006,
+  one block at a time) and runs one GEMM with K = kh*kw*C per block; its
+  weight and input gradients stay per tap. The stack is never larger than
+  one block. Its sums run in BLAS order, not tap order, so its forward pass
+  matches the per-tap sums within rounding only. Dilated kernels never
   stack, so the dilation oracle holds, with one exception: a stacked 3x3
   matches the zero-inflation of a 2x2 kernel at dilation 2 only within
   rounding.
@@ -70,10 +70,12 @@ multiplies the output gradient in place, the gradients they allocate (input,
 weight, bias) go to `.grad` as owned, and an input gradient is added in place,
 crop by crop, into an input's `.grad` that a sibling conv or the pooling has
 already set, so a tensor read by several layers keeps one gradient array.
-The input gradient is summed one image group (_blocks) at a time, into one
-group-sized scratch whose crop goes into the gradient before the next group,
-so no backward holds a phase gradient of the whole batch. A recorded 8x3x64x64
-step of the default model then peaks at 26.4 MiB (tracemalloc), in the weight
+A tap conv's input gradient is summed one image group (_blocks) at a time,
+into one group-sized scratch whose crop goes into the gradient before the next
+group, so it never holds a phase gradient of the whole batch. A disjoint plan's
+one GEMM does: a reduction block's 1x1 stride-2 shortcut, for example, holds
+the gradient of a quarter of its input's pixels at once. A recorded 8x3x64x64
+step of the default model peaks at 26.4 MiB (tracemalloc), in the weight
 gradient of a dec4.inc branch: the maps it rebuilds plus the pitched output
 gradient.
 """
@@ -231,9 +233,9 @@ class _Plan:
 
     A `stacked` plan (stride 1, dilation 1, kernel at most 3x3, at most
     _STACK_CHANNELS input channels, taps that overlap) runs its forward pass
-    and weight gradient as one GEMM over the stacked tap windows of each
-    block (_stacks); other plans whose taps overlap sum them one matmul at a
-    time.
+    as one GEMM over the stacked tap windows of each block (_stacks); every
+    other pass, and every other plan whose taps overlap, sums the taps one
+    matmul at a time.
     `lead` and `span` place the pitched output gradient (_pitched): it holds
     just the windows the two gradients read.
     """
@@ -244,7 +246,6 @@ class _Plan:
     wq: int
     taps: tuple[tuple[int, int], ...]  # (phase map index, window offset) per tap
     cuts: tuple  # per phase map: (input slices, map slices) holding the same pixels
-    fills_input: bool  # every input pixel lies in some phase map
     is_view: bool  # one phase map that is the input itself
     lead: int  # where output pixel 0 sits in the pitched output gradient
     span: int  # the pitched output gradient's length per channel
@@ -322,7 +323,7 @@ def _plan(h: int, w: int, spec: ConvSpec) -> _Plan:
             lo, hi = min(lo, rows.start * wq - off), max(hi, rows.stop * wq - off)
     stacked = ((sh, sw) == (dh, dw) == (1, 1) and kh <= 3 and kw <= 3
                and channels <= _STACK_CHANNELS and not disjoint)
-    return _Plan(out_h, out_w, hq, wq, tuple(taps), tuple(cuts), covered == h * w, is_view,
+    return _Plan(out_h, out_w, hq, wq, tuple(taps), tuple(cuts), is_view,
                  -lo, hi - lo, disjoint, stacked, (kh, kw))
 
 
@@ -331,12 +332,9 @@ def _to_phases(x: np.ndarray, plan: _Plan) -> np.ndarray:
     n, c = x.shape[:2]
     if plan.is_view:
         return x.reshape(n, 1, c, plan.hq * plan.wq)
-    xq = np.empty((n, len(plan.cuts), c, plan.hq, plan.wq), dtype=x.dtype)
+    xq = np.zeros((n, len(plan.cuts), c, plan.hq, plan.wq), dtype=x.dtype)
     for p, (xs, (rows, cols)) in enumerate(plan.cuts):
-        q = xq[:, p]
-        q[..., :rows.start, :] = q[..., rows.stop:, :] = 0  # only the margins are zeroed
-        q[..., rows, :cols.start] = q[..., rows, cols.stop:] = 0
-        q[..., rows, cols] = x[:, :, xs[0], xs[1]]
+        xq[:, p, :, rows, cols] = x[:, :, xs[0], xs[1]]
     return xq.reshape(n, len(plan.cuts), c, plan.hq * plan.wq)
 
 
@@ -393,26 +391,22 @@ def _tap_sum(taps, rows: int, length: int,
     a window view, over the group's _blocks. The sums are out[images] when
     `out` is given. Otherwise they are one group-sized scratch that the next
     group overwrites, so no array holds the sums of the whole batch. The
-    scratch and the partial sums are allocated once per call.
+    scratch is allocated once per call.
     """
     n, dtype = taps[0][1].shape[0], taps[0][1].dtype
     blocks = _blocks(n, max(rows, taps[0][0].shape[1]), length)
-    images, positions = blocks[0]  # no later block holds more images or positions
-    nb = images.stop - images.start
+    images = blocks[0][0]  # no later block holds more images
     if out is None:
-        scratch = np.empty((nb, rows, length), dtype=dtype)
-    parts = np.empty(nb * rows * (positions.stop - positions.start), dtype=dtype)
+        scratch = np.empty((images.stop - images.start, rows, length), dtype=dtype)
     for bn, bk in blocks:
         sums = scratch[:bn.stop - bn.start] if out is None else out[bn]
         acc = sums[:, :, bk]
-        part = parts[:acc.size].reshape(acc.shape)
         for t, (mat, src, start) in enumerate(taps):
             window = src[bn, :, start + bk.start:start + bk.stop]
             if t == 0:
                 np.matmul(mat, window, out=acc)
             else:
-                np.matmul(mat, window, out=part)
-                acc += part
+                acc += np.matmul(mat, window)
         if bk.stop == length:  # the group's last block
             yield bn, sums
 
@@ -423,21 +417,17 @@ def _stacks(xq: np.ndarray, plan: _Plan, rows: int) -> Iterator[tuple[slice, sli
     stack[:, t*C + c, k] = xq[images, 0, c, offset of tap t + k]: the taps'
     windows on top of each other, one slice copy per tap, so one matmul with
     the stacked weights (_stacked_weights) sums all taps. `rows` sizes the
-    blocks: the stack's kh*kw*C rows plus the O rows of output or gradient it
-    meets, which then share the cache. The stack reuses one buffer of at most
+    blocks: the stack's kh*kw*C rows plus the O output rows it meets, which
+    then share the cache. Each block's stack is a fresh array of at most
     _BLOCK elements.
     """
     n, _, c, _ = xq.shape
-    depth = len(plan.taps) * c
-    buf = None
     for bn, bk in _blocks(n, rows, plan.length):
         nb, width = bn.stop - bn.start, bk.stop - bk.start
-        if buf is None:
-            buf = np.empty(nb * depth * width, dtype=xq.dtype)
-        stack = buf[:nb * depth * width].reshape(nb, -1, c, width)
+        stack = np.empty((nb, len(plan.taps), c, width), dtype=xq.dtype)
         for t, (_, off) in enumerate(plan.taps):
             stack[:, t] = xq[bn, 0, :, off + bk.start:off + bk.stop]
-        yield bn, bk, stack.reshape(nb, depth, width)
+        yield bn, bk, stack.reshape(nb, -1, width)
 
 
 def _stacked_weights(weight: np.ndarray) -> np.ndarray:
@@ -472,14 +462,10 @@ def _conv2d_grad_w(xq: np.ndarray, gp: np.ndarray, plan: _Plan) -> np.ndarray:
     out_c = gp.shape[1]
     kh, kw = plan.kernel
     gp = gp[..., plan.lead:plan.lead + plan.length]
-    gw = np.zeros((out_c, kh * kw * c), dtype=xq.dtype)
-    if plan.stacked:
-        for bn, bk, stack in _stacks(xq, plan, sum(gw.shape)):
-            gw += np.matmul(gp[bn, :, bk], stack.transpose(0, 2, 1)).sum(axis=0)
-    else:
-        for t, (p, off) in enumerate(plan.taps):
-            window = xq[:, p, :, off:off + plan.length]
-            np.matmul(gp, window.transpose(0, 2, 1)).sum(axis=0, out=gw[:, t * c:(t + 1) * c])
+    gw = np.empty((out_c, kh * kw * c), dtype=xq.dtype)
+    for t, (p, off) in enumerate(plan.taps):
+        window = xq[:, p, :, off:off + plan.length]
+        np.matmul(gp, window.transpose(0, 2, 1)).sum(axis=0, out=gw[:, t * c:(t + 1) * c])
     return np.ascontiguousarray(gw.reshape(out_c, kh, kw, c).transpose(0, 3, 1, 2))
 
 
@@ -502,7 +488,7 @@ def _conv2d_grad_x(gp: np.ndarray, weight: np.ndarray, x_shape, plan: _Plan,
         if plan.is_view and not add:
             return gq.reshape(x_shape)  # the one phase map is the input itself
     if not add:
-        gx = (np.empty if plan.fills_input else np.zeros)(x_shape, dtype=gp.dtype)
+        gx = np.zeros(x_shape, dtype=gp.dtype)
     for p, (xs, (rows, cols)) in enumerate(plan.cuts):
         if rows.stop <= rows.start:
             continue  # a phase of a tiny map can hold no input row

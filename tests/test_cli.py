@@ -1,11 +1,12 @@
 import hashlib
 import importlib
 import os
+import re
 
 import numpy as np
 import pytest
 
-from irunet import cli, model
+from irunet import cli, layers, model
 from irunet.checkpoint import load_checkpoint, save_checkpoint
 from irunet.cli import main
 from irunet.data import DatasetManifest
@@ -419,6 +420,24 @@ class TestDenoiseEvaluate:
         assert "a.jpg: unsupported output extension (.png or .ppm)" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("directory_mode", [True, False], ids=["directory", "file"])
+    def test_denoise_output_under_a_file_exits_2_before_any_forward(
+            self, tmp_path, trained, capsys, monkeypatch, directory_mode):
+        _, ckpt = trained
+        src = tmp_path / "in" / "a.png"
+        src.parent.mkdir()
+        save_image(synth_image(4, size=32), src)
+        blocker = tmp_path / "afile"
+        blocker.write_text("a regular file")
+        calls = []
+        monkeypatch.setattr(cli, "forward", lambda *args: calls.append(args) or model.forward(*args))
+        code = run_cli(["denoise", "--checkpoint", str(ckpt),
+                        "--input", str(src.parent if directory_mode else src),
+                        "--output", str(blocker if directory_mode else blocker / "a.png")])
+        assert code == 2
+        assert f"error: [Errno 17] File exists: '{blocker}'" in capsys.readouterr().err
+        assert calls == []
+
     @pytest.mark.parametrize("kind", ["missing file", "directory without images"])
     def test_denoise_bad_input_exits_2_before_loading_the_checkpoint(
             self, tmp_path, trained, capsys, monkeypatch, kind):
@@ -501,6 +520,25 @@ class TestDenoiseEvaluate:
                         "--split", "train", "--out", str(tmp_path)])
         assert code == 2
         assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("below, error", [
+        ("", "[Errno 17] File exists: '{}'"),
+        ("sub", "[Errno 20] Not a directory: '{}/sub'"),
+    ], ids=["file", "under a file"])
+    def test_evaluate_out_under_a_file_exits_2_before_any_evaluation(
+            self, tmp_path, trained, capsys, monkeypatch, below, error):
+        manifest_path, ckpt = trained
+        blocker = tmp_path / "afile"
+        blocker.write_text("a regular file")
+        calls = []
+        evaluate = cli.evaluate_model
+        monkeypatch.setattr(cli, "evaluate_model",
+                            lambda *args, **kw: calls.append(args) or evaluate(*args, **kw))
+        code = run_cli(["evaluate", "--checkpoint", str(ckpt), "--manifest", str(manifest_path),
+                        "--split", "train", "--out", str(blocker / below / "report.tsv")])
+        assert code == 2
+        assert f"error: {error.format(blocker)}" in capsys.readouterr().err
         assert calls == []
 
     def test_evaluate_unit_scale_psnr_changes_only_the_psnr_column(self, tmp_path, trained):
@@ -591,6 +629,17 @@ class TestParamsAndGradcheck:
         assert run_cli(["gradcheck", "--level", "layer"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_gradcheck_failure_exits_1_naming_the_failing_groups(self, capsys, monkeypatch):
+        grad_w = layers._conv2d_grad_w
+        monkeypatch.setattr(layers, "_conv2d_grad_w", lambda *args: 2 * grad_w(*args))
+        assert run_cli(["gradcheck", "--level", "layer"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL  ")]
+        assert len(failed) == 8  # every case with a weight; the pooling passes
+        assert any(line.startswith("PASS  avg_pool_2x2") for line in lines)
+        assert any(re.fullmatch(r"    weight +rel_err=5\.000e-01", line) for line in lines)
+        assert lines[-1] == "8 gradient check(s) FAILED"
 
     def test_unknown_flag_exits_2(self):
         assert run_cli(["params", "--bogus"]) == 2

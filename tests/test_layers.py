@@ -331,9 +331,25 @@ class TestStackedTaps:
         plan = self.check(spec, (2, 4, 48, 48), dtype, 7)
         # even at the default block size each image is swept in several blocks
         assert plan.stacked and len(layers._blocks(1, 9 * 4 + 8, plan.length)) > 1
-        # forward and weight gradient: one stack buffer each, never past one block
-        assert len({id(b) for b in buffers}) == 2
+        # the forward pass only: a stack of its own per block, never past one block
+        assert len({id(b) for b in buffers}) == len(layers._blocks(2, 9 * 4 + 8, plan.length))
         assert all(b.size <= layers._BLOCK for b in buffers)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 3, 32, 32), (1, 3, 48, 80), (2, 4, 64, 64)])
+    def test_weight_gradient_is_the_per_tap_one(self, dtype, shape):
+        # only the forward pass stacks its taps: the weight gradient sums them per tap
+        spec = ConvSpec(shape[1], 16, kernel=3)
+        plan = layers._plan(shape[2], shape[3], spec)
+        seed = rng.hash64("stacked grad_w", *shape)
+        g_shape = (shape[0], 16, plan.out_h, plan.out_w)
+        x, g = (rng.uniform(rng.hash64(seed, name), int(np.prod(s))).reshape(s).astype(dtype)
+                for name, s in (("x", shape), ("g", g_shape)))
+        xq, gp = layers._to_phases(x, plan), layers._pitched(g, plan)
+        per_tap = dataclasses.replace(plan, stacked=False)
+        assert plan.stacked
+        assert np.array_equal(layers._conv2d_grad_w(xq, gp, plan),
+                              layers._conv2d_grad_w(xq, gp, per_tap))
 
     def test_the_geometry_decides(self, block):
         stacked = [ConvSpec(4, 16, kernel=3), ConvSpec(1, 1, kernel=2, padding="valid"),
@@ -390,7 +406,7 @@ def test_stack_copies_each_tap_window(shape):
     xq = layers._to_phases(x.astype(np.float32), plan)
     c, rows = shape[1], 9 * 3 + 16
     blocks = []
-    for bn, bk, stack in layers._stacks(xq, plan, rows):  # one buffer, refilled per block
+    for bn, bk, stack in layers._stacks(xq, plan, rows):  # a fresh stack per block
         per_tap = np.concatenate([xq[bn, 0, :, off + bk.start:off + bk.stop]
                                   for _, off in plan.taps], axis=1)
         assert np.array_equal(stack, per_tap)
