@@ -2,7 +2,7 @@
 
 Model checkpoint layout (all integers little-endian):
 
-    magic "IRUN" | u32 version=1
+    magic "IRUN" | u32 version=2
     u32 field count, then per config field: u16 name length, name bytes, i64 value
     u32 parameter count, then per parameter:
         u16 name length, name bytes, u8 ndim, u32 dims..., float32 payload
@@ -12,6 +12,9 @@ A training checkpoint inserts an optimizer section between the parameters
 and the CRC: u64 step counter, then the first/second moment tensors encoded
 exactly like parameters. The CRC always covers everything before it, so one
 reader handles both flavors by the bytes remaining after the parameters.
+
+Format 1 also stores the config fields FORMAT_1_ONLY, after branch_width. They
+configured nothing, so the reader requires them in a version-1 file and drops them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from .optim import AdamState
 from .tensor import Tensor
 
 MAGIC = b"IRUN"
-VERSION = 1
+VERSION = 2
+FORMAT_1_ONLY = ("sigma_low", "sigma_high")
 # on-disk name stem of the entries of ModelConfig's one tuple field: stage_width_0..3
 WIDTH_PREFIX = "stage_width_"
 
@@ -50,9 +54,9 @@ def _config_fields(config: ModelConfig) -> list[tuple[str, int]]:
     return pairs
 
 
-def _config_from_fields(stored: dict[str, int], path) -> ModelConfig:
+def _config_from_fields(stored: dict[str, int], path, dropped: tuple[str, ...]) -> ModelConfig:
     default = ModelConfig()
-    expected = {name for name, _ in _config_fields(default)}
+    expected = {name for name, _ in _config_fields(default)} | set(dropped)
     got = set(stored)
     if got != expected:
         missing = sorted(expected - got)
@@ -101,23 +105,12 @@ class _Reader:
         self.pos += n
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self.take(8))[0]
+    def unpack(self, fmt: str) -> int:
+        """The one integer of struct format fmt, e.g. "<I"."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
     def name(self) -> str:
-        raw = self.take(self.u16())
+        raw = self.take(self.unpack("<H"))
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError:
@@ -125,7 +118,7 @@ class _Reader:
 
     def tensor(self) -> tuple[str, np.ndarray]:
         name = self.name()
-        ndim = self.u8()
+        ndim = self.unpack("<B")
         shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
         count = math.prod(shape)  # exact: np.prod wraps at 2**63
         payload = self.take(4 * count)
@@ -195,7 +188,7 @@ def _read_section(r: _Reader, what: str, shapes: dict[str, tuple[int, ...]]
                   ) -> dict[str, np.ndarray]:
     """Read a count, then exactly the tensors `shapes` names, each once, in its shape."""
     out: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
+    for _ in range(r.unpack("<I")):
         name, data = r.tensor()
         if name in out:
             raise CheckpointError(f"{r.path}: duplicate {what} {name!r}")
@@ -227,17 +220,17 @@ def load_checkpoint(path) -> LoadedCheckpoint:
 
     r = _Reader(buf[:-4], path)
     r.take(4)  # magic, already checked
-    version = r.u32()
-    if version != VERSION:
+    version = r.unpack("<I")
+    if version not in (1, VERSION):
         raise CheckpointError(f"{path}: unsupported version {version}")
 
     stored: dict[str, int] = {}
-    for _ in range(r.u32()):
+    for _ in range(r.unpack("<I")):
         name = r.name()
         if name in stored:
             raise CheckpointError(f"{path}: duplicate config field {name!r}")
-        stored[name] = r.i64()
-    config = _config_from_fields(stored, path)
+        stored[name] = r.unpack("<q")
+    config = _config_from_fields(stored, path, FORMAT_1_ONLY if version == 1 else ())
 
     specs = layer_specs(config)
     shapes = {}
@@ -256,7 +249,7 @@ def load_checkpoint(path) -> LoadedCheckpoint:
 
     state: AdamState | None = None
     if r.remaining() > 0:
-        step = r.u64()
+        step = r.unpack("<Q")
         moments = _read_section(r, "optimizer tensor", {
             f"{name}.{kind}": shape for name, shape in shapes.items() for kind in "mv"})
         state = AdamState(m={name: moments[f"{name}.m"] for name in shapes},

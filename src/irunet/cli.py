@@ -1,7 +1,7 @@
 """Command line front end: corrupt, train, denoise, evaluate, params, gradcheck.
 
 Exit codes are a stable scripting contract: 0 success, 1 check failure,
-2 usage or input error, 3 runtime abort (non-finite loss).
+2 usage or input error, 3 runtime abort (non-finite loss, gradient or parameter).
 """
 
 from __future__ import annotations

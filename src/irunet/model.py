@@ -72,9 +72,6 @@ class ModelConfig:
     kernel: int = 3
     dilation_rate: int = 2
     branch_width: int = 8
-    # corruption range echoed for provenance; not used by the forward pass
-    sigma_low: int = 0
-    sigma_high: int = 50
 
     def __post_init__(self):
         # plain ints, whatever integer type built the config; 3.0 is rejected
@@ -91,8 +88,6 @@ class ModelConfig:
         for name in ("input_channels", "base_width", "kernel", "dilation_rate", "branch_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if not 0 <= self.sigma_low <= self.sigma_high:
-            raise ValueError("sigma range must satisfy 0 <= low <= high")
 
 
 class ParamStore:

@@ -26,7 +26,7 @@ from .optim import AdamState, adam_step
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training aborted on a NaN/Inf loss or parameter."""
+    """Training aborted on a NaN/Inf loss, gradient or parameter."""
 
     def __init__(self, message: str, checkpoint_path: str | None = None):
         super().__init__(message)
@@ -81,8 +81,9 @@ def train(model_config: ModelConfig, train_config: TrainConfig,
     checkpoint the run cannot continue from raises ValueError before anything
     is written. Log lines are `step<TAB>loss<TAB>seconds`, flushed per
     step. Checkpoints (with optimizer state) land in out_dir every
-    checkpoint_every steps and at the end. A non-finite loss or parameter
-    aborts with the last good parameters saved alongside a diagnostic.
+    checkpoint_every steps and at the end. A non-finite loss or gradient
+    aborts before the Adam step and saves the pre-step state as
+    abort_last_good.ckpt; a non-finite parameter after the step saves nothing.
     """
     if start is None:
         params = build_params(model_config, train_config.init_seed)

@@ -104,10 +104,10 @@ def test_payload_size_accounting(tmp_path):
     save_checkpoint(params, config, path)
 
     expected = 4 + 4  # magic + version
-    config_fields = 11
+    config_fields = 9
     field_names = ["input_channels", "base_width", "stage_width_0", "stage_width_1",
                    "stage_width_2", "stage_width_3", "kernel", "dilation_rate",
-                   "branch_width", "sigma_low", "sigma_high"]
+                   "branch_width"]
     expected += 4 + sum(2 + len(n) + 8 for n in field_names)
     assert len(field_names) == config_fields
     tensor_names = []
@@ -147,17 +147,14 @@ def test_not_a_checkpoint_rejected(tmp_path):
         load_checkpoint(bad)
 
 
-# Every field off its default; sizes and hashes recorded from the format-1
-# writer before the config field list was derived from ModelConfig.
+# Every field off its default. The format-1 sizes and hashes were recorded
+# from the format-1 writer before the config field list was derived from
+# ModelConfig, with sigma_low=5 and sigma_high=40 stored.
 FIXTURE_CFG = ModelConfig(input_channels=1, base_width=2, stage_widths=(2, 3, 4, 5), kernel=5,
-                          dilation_rate=3, branch_width=1, sigma_low=5, sigma_high=40)
+                          dilation_rate=3, branch_width=1)
 
 
-@pytest.mark.parametrize("training, size, sha256", [
-    (False, 16036, "25543d513d9b275bcfdec2594d1d06e9018b85f3a55493bf2b6f15a2ffb5cb2c"),
-    (True, 48072, "5f9ba9e5544867ef496638503ddff1e3df7d541954b9c9df0bba896135904bb8"),
-])
-def test_bytes_match_format_1_fixture(tmp_path, training, size, sha256):
+def fixture_file(tmp_path, training):
     params = build_params(FIXTURE_CFG, 7)
     path = tmp_path / "fixture.ckpt"
     if training:
@@ -166,10 +163,96 @@ def test_bytes_match_format_1_fixture(tmp_path, training, size, sha256):
         save_training_checkpoint(params, FIXTURE_CFG, state, path)
     else:
         save_checkpoint(params, FIXTURE_CFG, path)
+    return path
+
+
+def as_format_1(buf: bytes, sigma_low: int = 5, sigma_high: int = 40) -> bytes:
+    """A format-2 file's bytes as the format-1 writer wrote them: version 1, and
+    sigma_low and sigma_high stored after branch_width."""
+    assert struct.unpack("<4sII", buf[:12]) == (b"IRUN", 2, 9)
+    branch_width = b"\x0c\x00branch_width"
+    at = buf.index(branch_width) + len(branch_width) + 8
+    sigmas = (b"\x09\x00sigma_low" + struct.pack("<q", sigma_low)
+              + b"\x0a\x00sigma_high" + struct.pack("<q", sigma_high))
+    body = buf[:4] + struct.pack("<II", 1, 11) + buf[12:at] + sigmas + buf[at:-4]
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def assert_same_checkpoint(a, b):
+    assert a.config == b.config
+    assert a.params.named_tensors().keys() == b.params.named_tensors().keys()
+    for name, t in a.params.named_tensors().items():
+        assert np.array_equal(t.data, b.params.named_tensors()[name].data)
+    assert (a.state is None) == (b.state is None)
+    if a.state is not None:
+        assert a.state.t == b.state.t
+        for name in a.state.m:
+            assert np.array_equal(a.state.m[name], b.state.m[name])
+            assert np.array_equal(a.state.v[name], b.state.v[name])
+
+
+@pytest.mark.parametrize("training, size, sha256", [
+    (False, 15997, "93d501decf902a0fdd53108f6c6a4f308e4faca2db56d38f5a12d5f010b371d4"),
+    (True, 48033, "1bda18999f20156aee3d15009351b2293626bb3f830691483bc94b163724fed1"),
+])
+def test_bytes_match_format_2_fixture(tmp_path, training, size, sha256):
+    path = fixture_file(tmp_path, training)
     buf = path.read_bytes()
     assert len(buf) == size
     assert hashlib.sha256(buf).hexdigest() == sha256
     assert load_checkpoint(path).config == FIXTURE_CFG
+
+
+@pytest.mark.parametrize("training, size, sha256", [
+    (False, 16036, "25543d513d9b275bcfdec2594d1d06e9018b85f3a55493bf2b6f15a2ffb5cb2c"),
+    (True, 48072, "5f9ba9e5544867ef496638503ddff1e3df7d541954b9c9df0bba896135904bb8"),
+])
+def test_bytes_match_format_1_fixture(tmp_path, training, size, sha256):
+    # the format-1 file of the same checkpoint, rebuilt from the format-2 bytes
+    path = fixture_file(tmp_path, training)
+    old = tmp_path / "format1.ckpt"
+    old.write_bytes(as_format_1(path.read_bytes()))
+    buf = old.read_bytes()
+    assert len(buf) == size
+    assert hashlib.sha256(buf).hexdigest() == sha256
+    assert_same_checkpoint(load_checkpoint(old), load_checkpoint(path))
+
+
+def test_format_1_sigma_fields_configure_nothing(tmp_path):
+    # format 1 rejected sigma_low > sigma_high; the values are now dropped unread
+    path = fixture_file(tmp_path, training=True)
+    old = tmp_path / "format1.ckpt"
+    old.write_bytes(as_format_1(path.read_bytes(), sigma_low=60, sigma_high=0))
+    assert_same_checkpoint(load_checkpoint(old), load_checkpoint(path))
+
+
+def test_format_1_without_sigma_fields_rejected(tmp_path):
+    path = fixture_file(tmp_path, training=False)
+    body = bytearray(path.read_bytes()[:-4])
+    struct.pack_into("<I", body, 4, 1)  # version 1, the format-2 config section
+    bad = with_valid_crc(tmp_path, bytes(body))
+    with pytest.raises(CheckpointError, match=r"missing \['sigma_high', 'sigma_low'\]") as err:
+        load_checkpoint(bad)
+    assert str(err.value).startswith(f"{bad}: ")
+
+
+def test_format_2_with_sigma_fields_rejected(tmp_path):
+    path = fixture_file(tmp_path, training=False)
+    body = bytearray(as_format_1(path.read_bytes())[:-4])
+    struct.pack_into("<I", body, 4, 2)  # version 2, the format-1 config section
+    bad = with_valid_crc(tmp_path, bytes(body))
+    with pytest.raises(CheckpointError, match=r"unknown \['sigma_high', 'sigma_low'\]"):
+        load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("version", [0, 3])
+def test_versions_other_than_1_and_2_rejected(tmp_path, version):
+    path = fixture_file(tmp_path, training=False)
+    body = bytearray(path.read_bytes()[:-4])
+    struct.pack_into("<I", body, 4, version)
+    bad = with_valid_crc(tmp_path, bytes(body))
+    with pytest.raises(CheckpointError, match=f"unsupported version {version}"):
+        load_checkpoint(bad)
 
 
 def long_named_params(seed):
@@ -219,20 +302,27 @@ def patched_config_file(tmp_path, old: bytes, new: bytes):
 
 
 def test_invalid_stored_config_is_checkpoint_error_naming_file(tmp_path):
-    name = b"\x09\x00sigma_low"
-    path = patched_config_file(tmp_path, name + struct.pack("<q", CFG.sigma_low),
-                               name + struct.pack("<q", 60))
-    with pytest.raises(CheckpointError, match="sigma range") as err:
+    name = b"\x06\x00kernel"
+    path = patched_config_file(tmp_path, name + struct.pack("<q", CFG.kernel),
+                               name + struct.pack("<q", 0))
+    with pytest.raises(CheckpointError, match="kernel must be positive") as err:
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: ")
 
 
 def test_config_field_mismatch_names_file(tmp_path):
-    path = patched_config_file(tmp_path, b"sigma_low", b"sigma_lox")
+    path = patched_config_file(tmp_path, b"kernel", b"kernex")
     with pytest.raises(CheckpointError, match="field mismatch") as err:
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: ")
-    assert "sigma_lox" in str(err.value)
+    assert "kernex" in str(err.value)
+
+
+def test_duplicate_config_field_is_checkpoint_error_naming_file(tmp_path):
+    path = patched_config_file(tmp_path, b"\x06\x00kernel", b"\x0a\x00base_width")
+    with pytest.raises(CheckpointError, match="duplicate config field 'base_width'") as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 FIRST_PARAM = layer_specs(CFG)[0][0].encode() + b".weight"
@@ -265,7 +355,7 @@ def test_dims_overflowing_int64_are_checkpoint_error_naming_file(tmp_path):
 
 
 def test_non_utf8_name_is_checkpoint_error_naming_file(tmp_path):
-    path = patched_config_file(tmp_path, b"sigma_low", b"sigma_lo\xff")
+    path = patched_config_file(tmp_path, b"kernel", b"kerne\xff")
     with pytest.raises(CheckpointError, match="UTF-8") as err:
         load_checkpoint(path)
     assert str(err.value).startswith(f"{path}: ")

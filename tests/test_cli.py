@@ -88,6 +88,14 @@ class TestCorrupt:
                         "--output", str(tmp_path / "o"), "--sigmas", "60"]) == 2
         assert "sigma values must lie in 0..50, got 60" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigmas", ["abc", "50..0", ","])
+    def test_unparsable_sigma_list_exits_2(self, tmp_path, capsys, sigmas):
+        clean = tmp_path / "clean"
+        write_corpus(clean, 1, size=16)
+        assert run_cli(["corrupt", "--input", str(clean),
+                        "--output", str(tmp_path / "o"), "--sigmas", sigmas]) == 2
+        assert f"error: cannot parse sigma list {sigmas!r}" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_smoke_completes_and_checkpoints(self, tmp_path, capsys):
@@ -299,13 +307,13 @@ class TestTrain:
         appended = (out / "train.log").read_text()[len(log_before):]
         assert appended and all(line.startswith("# ") for line in appended.splitlines())
 
-    def test_accepted_run_prints_its_17_header_lines(self, tmp_path, capsys):
+    def test_accepted_run_prints_its_15_header_lines(self, tmp_path, capsys):
         _, _, manifest_path = corrupt_corpus(tmp_path, size=16)
         capsys.readouterr()
         code, out = train_tiny(tmp_path, manifest_path, max_steps=2)
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        header = (out / "train.log").read_text().splitlines()[:17]
+        header = (out / "train.log").read_text().splitlines()[:15]
         assert all(line.startswith("# ") for line in header)
         assert lines == header + [
             f"trained 2 step(s); final checkpoint {out / 'step000002.ckpt'}",
@@ -499,6 +507,16 @@ class TestDenoiseEvaluate:
         assert lines[0] == "sigma\tn\tpsnr_mean\tssim_mean\tmae_mean"
         assert lines[-1].startswith("ALL\t")
 
+    def test_evaluate_without_out_prints_the_report(self, tmp_path, trained, capsys):
+        manifest_path, ckpt = trained
+        args = ["evaluate", "--checkpoint", str(ckpt), "--manifest", str(manifest_path),
+                "--split", "train"]
+        report = tmp_path / "report.tsv"
+        assert run_cli(args + ["--out", str(report)]) == 0
+        capsys.readouterr()
+        assert run_cli(args) == 0
+        assert capsys.readouterr().out == report.read_text()
+
     def test_evaluate_creates_the_report_directory(self, tmp_path, trained):
         manifest_path, ckpt = trained
         report = tmp_path / "new" / "dir" / "report.tsv"
@@ -625,6 +643,19 @@ class TestParamsAndGradcheck:
         assert run_cli(["params", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text (invalid start byte)\n"
 
+    @pytest.mark.parametrize("content, args, message", [
+        ("kernel=3\nbase_width\n", ["--config", "{cfg}"],
+         "error: {cfg}:2: expected key=value, got 'base_width'"),
+        (None, ["--config", "{cfg}"], "error: cannot read config file {cfg}: "),
+        ("", ["--set", "kernel"], "error: --set expects KEY=VALUE, got 'kernel'"),
+    ], ids=["line without =", "unreadable file", "--set without ="])
+    def test_params_malformed_config_exits_2(self, tmp_path, capsys, content, args, message):
+        cfg = tmp_path / "run.cfg"
+        if content is not None:
+            cfg.write_text(content)
+        assert run_cli(["params"] + [a.format(cfg=cfg) for a in args]) == 2
+        assert capsys.readouterr().err.startswith(message.format(cfg=cfg))
+
     def test_gradcheck_layer_exits_0(self, capsys):
         assert run_cli(["gradcheck", "--level", "layer"]) == 0
         out = capsys.readouterr().out
@@ -673,3 +704,38 @@ class TestAbortExitCode:
         assert load_checkpoint(out / "abort_last_good.ckpt").state.t == 0
         assert (out / "train.log").read_text() == out_text  # the header, and no step line
         assert out_text and all(line.startswith("# ") for line in out_text.splitlines())
+
+    def test_non_finite_gradient_exits_3_saving_the_pre_step_state(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        _, _, manifest_path = corrupt_corpus(tmp_path, count=2, size=16)
+        grad_w = layers._conv2d_grad_w
+        monkeypatch.setattr(layers, "_conv2d_grad_w", lambda *args: grad_w(*args) * np.nan)
+        capsys.readouterr()
+        code, out = train_tiny(tmp_path, manifest_path)
+        assert code == 3
+        saved = out / "abort_last_good.ckpt"
+        assert f"ABORT: non-finite gradient at step 0; last good parameters saved to " \
+               f"{saved}" in capsys.readouterr().err
+        loaded = load_checkpoint(saved)
+        assert loaded.state.t == 0
+        initial = model.build_params(loaded.config, 1).named_tensors()  # init_seed's default
+        for name, t in loaded.params.named_tensors().items():
+            assert np.array_equal(t.data, initial[name].data)
+            assert not loaded.state.m[name].any() and not loaded.state.v[name].any()
+
+    def test_non_finite_parameter_exits_3_saving_no_checkpoint(self, tmp_path, monkeypatch,
+                                                               capsys):
+        train_mod = importlib.import_module("irunet.train")
+        adam_step = train_mod.adam_step
+
+        def poisoned_step(params, *args):
+            adam_step(params, *args)
+            next(iter(params.named_tensors().values())).data.flat[0] = np.nan
+
+        _, _, manifest_path = corrupt_corpus(tmp_path, count=2, size=16)
+        monkeypatch.setattr(train_mod, "adam_step", poisoned_step)
+        capsys.readouterr()
+        code, out = train_tiny(tmp_path, manifest_path)
+        assert code == 3
+        assert "ABORT: non-finite parameter after step 0\n" in capsys.readouterr().err
+        assert not [name for name in os.listdir(out) if name.endswith(".ckpt")]

@@ -59,7 +59,7 @@ def test_default_echo():
         "base_width=16", "batch_size=32", "beta1=0.9", "beta2=0.999", "branch_width=8",
         "checkpoint_every=200", "dilation_rate=2", "epoch_seed=2", "epsilon=1e-07",
         "init_seed=1", "input_channels=3", "kernel=3", "learning_rate=0.0001",
-        "max_steps=1000", "sigma_high=50", "sigma_low=0", "stage_widths=24,32,48,64",
+        "max_steps=1000", "stage_widths=24,32,48,64",
     ]
 
 

@@ -58,7 +58,7 @@ class TestModelConfig:
 
     def test_numpy_integers_build_the_same_config(self):
         config = ModelConfig(base_width=np.int64(16), stage_widths=np.array([24, 32, 48, 64]),
-                             sigma_high=np.int32(50))
+                             branch_width=np.int32(8))
         assert config == ModelConfig() and hash(config) == hash(ModelConfig())
         values = [getattr(config, f.name) for f in dataclasses.fields(config)]
         assert all(type(v) is int for v in values if v is not config.stage_widths)
@@ -68,8 +68,14 @@ class TestModelConfig:
                 ModelConfig(**bad)
 
     def test_replace_validates(self):
-        with pytest.raises(ValueError, match="sigma range"):
-            dataclasses.replace(SMALL, sigma_low=60)
+        with pytest.raises(ValueError, match="branch_width must be positive"):
+            dataclasses.replace(SMALL, branch_width=0)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelConfig)])
+    def test_every_field_shapes_the_network(self, name):
+        value = getattr(SMALL, name)
+        changed = tuple(v + 1 for v in value) if isinstance(value, tuple) else value + 1
+        assert layer_specs(dataclasses.replace(SMALL, **{name: changed})) != layer_specs(SMALL)
 
     def test_shared_specs_cannot_be_assigned(self):
         params = build_params(SMALL, 9, dtype=np.float64)
