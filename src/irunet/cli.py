@@ -29,10 +29,6 @@ EXIT_USAGE = 2
 EXIT_ABORT = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_sigmas(text: str) -> list[int]:
     """Accept '25', '10,25,50' or '0..50' (inclusive range)."""
     text = text.strip()
@@ -48,7 +44,7 @@ def _parse_sigmas(text: str) -> list[int]:
         if not values:
             raise ValueError
     except ValueError:
-        raise UsageError(f"cannot parse sigma list {text!r} (use N, N,M,... or LO..HI)")
+        raise ValueError(f"cannot parse sigma list {text!r} (use N, N,M,... or LO..HI)") from None
     return values
 
 
@@ -56,7 +52,7 @@ def _parse_sigmas(text: str) -> list[int]:
 
 def cmd_corrupt(args) -> int:
     if not os.path.isdir(args.input):
-        raise UsageError(f"input directory not readable: {args.input}")
+        raise ValueError(f"input directory not readable: {args.input}")
     sigmas = _parse_sigmas(args.sigmas)
     manifest = build_manifest(args.input, sigmas, args.seed, split_ratio=args.train_frac)
     os.makedirs(args.output, exist_ok=True)
@@ -163,29 +159,26 @@ def cmd_denoise(args) -> int:
     if directory:
         names = list_images(args.input)
         if not names:
-            raise UsageError(f"no supported images (png/ppm) in {args.input}")
+            raise ValueError(f"no supported images (png/ppm) in {args.input}")
         _check_output_dir(args.output)
+        skipped = sorted(n for n in os.listdir(args.input)
+                         if os.path.isfile(os.path.join(args.input, n))
+                         and not n.lower().endswith(imageio.IMAGE_EXTENSIONS))
+        jobs = [(n, os.path.join(args.input, n), os.path.join(args.output, n)) for n in names]
     else:
         imageio.image_writer(args.output)
         if not os.path.isfile(args.input):
-            raise UsageError(f"input not found: {args.input}")
+            raise ValueError(f"input not found: {args.input}")
         _check_output_dir(os.path.dirname(os.path.abspath(args.output)))
+        jobs = [(args.input, args.input, args.output)]
     loaded = load_checkpoint(args.checkpoint)
+    for label, in_path, out_path in jobs:
+        seconds = _denoise_one(loaded.params, loaded.config, in_path, out_path)
+        print(f"{label}: {seconds:.3f}s")
     if directory:
-        skipped = [n for n in os.listdir(args.input)
-                   if os.path.isfile(os.path.join(args.input, n))
-                   and not n.lower().endswith(imageio.IMAGE_EXTENSIONS)]
-        for name in names:
-            seconds = _denoise_one(loaded.params, loaded.config,
-                                   os.path.join(args.input, name),
-                                   os.path.join(args.output, name))
-            print(f"{name}: {seconds:.3f}s")
-        for name in sorted(skipped):
+        for name in skipped:
             print(f"skipped (unsupported format): {name}")
         print(f"denoised {len(names)} image(s), skipped {len(skipped)}")
-    else:
-        seconds = _denoise_one(loaded.params, loaded.config, args.input, args.output)
-        print(f"{args.input}: {seconds:.3f}s")
     return EXIT_OK
 
 
@@ -293,7 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

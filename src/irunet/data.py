@@ -21,6 +21,12 @@ MANIFEST_HEADER = "clean_path,sigma,seed,split"
 SPLITS = ("train", "test")
 
 
+def _check_manifest_path(path: str) -> None:
+    """Reject a path holding a comma or a line end (load ends lines at LF and at CR)."""
+    if "," in path or "\n" in path or "\r" in path:
+        raise ValueError(f"path not representable in manifest: {path!r}")
+
+
 @dataclass(frozen=True)
 class ManifestRow:
     clean_path: str
@@ -34,8 +40,7 @@ class ManifestRow:
         # an integer: save writes the value as it is, and load reads an int
         if not (isinstance(self.sigma, numbers.Integral) and 0 <= self.sigma <= SIGMA_MAX):
             raise ValueError(f"sigma must be an integer in 0..{SIGMA_MAX:g}, got {self.sigma}")
-        if "," in self.clean_path or "\n" in self.clean_path:
-            raise ValueError(f"path not representable in manifest: {self.clean_path!r}")
+        _check_manifest_path(self.clean_path)
 
     @property
     def noise(self) -> NoiseSpec:
@@ -86,8 +91,7 @@ class DatasetManifest:
                 out_path = os.path.relpath(resolved, base)
             except ValueError:
                 out_path = resolved
-            if "," in out_path or "\n" in out_path:
-                raise ValueError(f"path not representable in manifest: {out_path!r}")
+            _check_manifest_path(out_path)
             lines.append(f"{out_path},{r.sigma},{r.seed},{r.split}")
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write("\n".join(lines) + "\n")

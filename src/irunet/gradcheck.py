@@ -8,11 +8,11 @@ element influences the check.
 
 Central differences are only a valid oracle where the map is differentiable.
 Relu makes that a real concern: a pre-activation closer to zero than the FD
-step times its sensitivity puts the probe inside the kink. Relu-fused layer,
-block and model cases therefore search derived seeds deterministically until
-every relu input clears a wide safety margin around zero (biases are
-randomized too in block and model cases; at zero-bias init a reduce conv fed
-only by relu outputs can land exactly on the kink).
+step times its sensitivity puts the probe inside the kink. Every case
+therefore searches derived seeds deterministically until every relu input
+clears a wide safety margin around zero; a case with no relu takes its first
+seed. Biases are randomized too in block and model cases: at zero-bias init a
+reduce conv fed only by relu outputs can land exactly on the kink.
 """
 
 from __future__ import annotations
@@ -65,10 +65,9 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
-def _random_tensor(seed: int, shape, requires_grad: bool = True,
-                   low: float = -1.0, high: float = 1.0) -> Tensor:
+def _random_tensor(seed: int, shape, low: float = -1.0, high: float = 1.0) -> Tensor:
     vals = rng.uniform(seed, int(np.prod(shape))) * (high - low) + low
-    return Tensor(vals.reshape(shape), requires_grad=requires_grad, dtype=np.float64)
+    return Tensor(vals.reshape(shape), requires_grad=True, dtype=np.float64)
 
 
 def _randomize_biases(params, seed: int) -> None:
@@ -112,11 +111,20 @@ def _finite_difference(loss_fn: Callable[[], float],
     return grads
 
 
-def _run_case(name: str, build: Callable[[], Tensor], targets: dict[str, Tensor],
-              tolerance: float, start: float | None = None) -> CheckResult:
-    """Compare backward() against central differences for one forward map."""
-    if start is None:
-        start = time.perf_counter()
+def _case(name: str, make: Callable[[int], tuple], tolerance: float,
+          seed: int) -> CheckResult:
+    """Compare backward() against central differences for one forward map.
+
+    `make(case_seed)` returns (build, targets). The case is built at the first
+    derived seed whose probe point is clear of every relu kink.
+    """
+    start = time.perf_counter()
+    for attempt in range(MAX_PROBE_ATTEMPTS):
+        build, targets = make(rng.hash64(seed, name, attempt))
+        if _kink_distance(build) > KINK_MARGIN:
+            break
+    else:
+        raise RuntimeError(f"{name}: no generic probe point in {MAX_PROBE_ATTEMPTS} attempts")
     out = build()
     proj = rng.uniform(rng.hash64("proj", name), out.size).reshape(out.shape) * 2.0 - 1.0
     loss = (out * Tensor(proj, dtype=np.float64)).sum()
@@ -137,17 +145,6 @@ def _run_case(name: str, build: Callable[[], Tensor], targets: dict[str, Tensor]
                        group_errors=group_errors)
 
 
-def _generic_case(name: str, make: Callable[[int], tuple], tolerance: float,
-                  seed: int) -> CheckResult:
-    """Build the case at the first derived seed whose probe point is generic."""
-    start = time.perf_counter()
-    for attempt in range(MAX_PROBE_ATTEMPTS):
-        build, targets = make(rng.hash64(seed, name, attempt))
-        if _kink_distance(build) > KINK_MARGIN:
-            return _run_case(name, build, targets, tolerance, start=start)
-    raise RuntimeError(f"{name}: no generic probe point in {MAX_PROBE_ATTEMPTS} attempts")
-
-
 def _layer_case(name: str, spec: ConvSpec, in_shape, seed: int) -> CheckResult:
     op = transposed_conv2d if spec.transposed else conv2d
 
@@ -157,14 +154,15 @@ def _layer_case(name: str, spec: ConvSpec, in_shape, seed: int) -> CheckResult:
         x = _random_tensor(rng.hash64(case_seed, name, "x"), in_shape)
         return (lambda: op(x, spec, lp)), {"x": x, "weight": lp.weight, "bias": lp.bias}
 
-    if spec.relu:  # a fused relu needs a probe point clear of its kink
-        return _generic_case(name, make, LAYER_TOL, seed)
-    build, targets = make(seed)
-    return _run_case(name, build, targets, LAYER_TOL)
+    return _case(name, make, LAYER_TOL, seed)
 
 
 def check_layers(seed: int = 0) -> list[CheckResult]:
-    results = [
+    def pool(case_seed: int):
+        x = _random_tensor(rng.hash64(case_seed, "pool", "x"), (2, 3, 4, 6))
+        return (lambda: avg_pool2d(x)), {"x": x}
+
+    return [
         _layer_case("conv2d_3x3_same", ConvSpec(3, 4, kernel=3), (2, 3, 5, 6), seed),
         _layer_case("conv2d_3x3_stride2", ConvSpec(3, 4, kernel=3, stride=2), (1, 3, 6, 6), seed),
         _layer_case("conv2d_3x3_dilation2", ConvSpec(2, 3, kernel=3, dilation=2), (1, 2, 7, 7), seed),
@@ -173,11 +171,8 @@ def check_layers(seed: int = 0) -> list[CheckResult]:
         _layer_case("tconv_2x2_stride2", ConvSpec(3, 2, kernel=2, stride=2, transposed=True), (1, 3, 3, 3), seed),
         _layer_case("tconv_3x3_stride1", ConvSpec(2, 3, kernel=3, transposed=True), (1, 2, 4, 4), seed),
         _layer_case("tconv_3x3_stride2_dil2", ConvSpec(2, 2, kernel=3, stride=2, dilation=2, transposed=True), (1, 2, 3, 3), seed),
+        _case("avg_pool_2x2", pool, LAYER_TOL, seed),
     ]
-    x = _random_tensor(rng.hash64(seed, "pool", "x"), (2, 3, 4, 6))
-    results.append(_run_case("avg_pool_2x2", lambda: avg_pool2d(x), {"x": x},
-                             LAYER_TOL))
-    return results
 
 
 def check_blocks(seed: int = 0) -> list[CheckResult]:
@@ -196,10 +191,10 @@ def check_blocks(seed: int = 0) -> list[CheckResult]:
         return make
 
     return [
-        _generic_case("inception_block",
-                      maker(inception_block, "enc1.inc", (1, 6, 8, 8)), LAYER_TOL, seed),
-        _generic_case("inception_reduction_block",
-                      maker(inception_reduction_block, "enc1.red", (1, 4, 8, 8)), LAYER_TOL, seed),
+        _case("inception_block",
+              maker(inception_block, "enc1.inc", (1, 6, 8, 8)), LAYER_TOL, seed),
+        _case("inception_reduction_block",
+              maker(inception_reduction_block, "enc1.red", (1, 4, 8, 8)), LAYER_TOL, seed),
     ]
 
 
@@ -216,7 +211,7 @@ def check_model(seed: int = 0) -> list[CheckResult]:
         targets.update(params.named_tensors())
         return (lambda: forward(x, config, params)), targets
 
-    return [_generic_case("tiny_full_model", make, MODEL_TOL, seed)]
+    return [_case("tiny_full_model", make, MODEL_TOL, seed)]
 
 
 LEVELS = {

@@ -281,10 +281,14 @@ def to_batch(imgs: list[np.ndarray]) -> Tensor:
     return Tensor(data)
 
 
+def _round_8bit(values: np.ndarray) -> np.ndarray:
+    """Float64 intensities to uint8: clamped to 0..255, so half away from zero is floor(v + 0.5)."""
+    return np.floor(np.clip(values, 0.0, 255.0) + 0.5).astype(np.uint8)
+
+
 def quantize(values: np.ndarray) -> np.ndarray:
-    """Map [0,1] float values to uint8, same rounding as the corruption path."""
-    scaled = np.clip(np.asarray(values, dtype=np.float64) * 255.0, 0.0, 255.0)
-    return np.floor(scaled + 0.5).astype(np.uint8)
+    """Map [0,1] float values to uint8: times 255 in float64, rounded as `noise.corrupt` rounds."""
+    return _round_8bit(np.asarray(values, dtype=np.float64) * 255.0)
 
 
 def tensor_to_image(t: Tensor | np.ndarray) -> np.ndarray:

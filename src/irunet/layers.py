@@ -300,7 +300,6 @@ def _plan(h: int, w: int, spec: ConvSpec) -> _Plan:
                 phases.append(phase)
             taps.append((phases.index(phase), (top + i * dh // sh) * wq + left + j * dw // sw))
     cuts = []
-    fills_maps, covered = True, 0
     for a, b in phases:
         r0, c0 = (a - pt) % sh, (b - pl) % sw  # first input row/column in the phase
         q0, p0 = top + (r0 + pt) // sh, left + (c0 + pl) // sw
@@ -308,9 +307,7 @@ def _plan(h: int, w: int, spec: ConvSpec) -> _Plan:
         nc = min(len(range(c0, w, sw)), wq - p0)
         cuts.append(((slice(r0, r0 + nr * sh, sh), slice(c0, c0 + nc * sw, sw)),
                      (slice(q0, q0 + nr), slice(p0, p0 + nc))))
-        fills_maps = fills_maps and (q0, p0, nr, nc) == (0, 0, hq, wq)
-        covered += nr * nc
-    is_view = (sh, sw) == (1, 1) and fills_maps and covered == h * w
+    is_view = (sh, sw) == (1, 1) and (hq, wq) == (h, w)
     disjoint = all(t == p and off == 0 for t, (p, off) in enumerate(taps))
     # The pitched output gradient spans the output rows, which hold the weight
     # gradient's window and a disjoint plan's one GEMM (hq == out_h there), and

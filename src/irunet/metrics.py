@@ -137,18 +137,10 @@ class MetricReport:
         groups: dict[int, list[ImageScore]] = {}
         for s in self.scores:
             groups.setdefault(s.sigma, []).append(s)
-        out = []
-        for sigma in sorted(groups):
-            ss = groups[sigma]
-            out.append((str(sigma), len(ss),
-                        self._mean([s.psnr_db for s in ss]),
-                        self._mean([s.ssim for s in ss]),
-                        self._mean([s.mae for s in ss])))
-        out.append(("ALL", len(self.scores),
-                    self._mean([s.psnr_db for s in self.scores]),
-                    self._mean([s.ssim for s in self.scores]),
-                    self._mean([s.mae for s in self.scores])))
-        return out
+        labelled = [(str(sigma), groups[sigma]) for sigma in sorted(groups)]
+        return [(label, len(ss), *(self._mean([getattr(s, key) for s in ss])
+                                   for key in ("psnr_db", "ssim", "mae")))
+                for label, ss in labelled + [("ALL", self.scores)]]
 
     def to_tsv(self) -> str:
         lines = ["sigma\tn\tpsnr_mean\tssim_mean\tmae_mean"]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .imageio import _round_8bit
 
 SIGMA_MAX = 50.0
 
@@ -30,12 +31,10 @@ class NoiseSpec:
 
 
 def corrupt(clean: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    """Corrupt an 8-bit RGB image [H,W,3]; deterministic given spec.seed."""
+    """Corrupt uint8 RGB [H,W,3], rounded as `imageio.quantize` rounds; deterministic in spec.seed."""
     if not isinstance(clean, np.ndarray) or clean.dtype != np.uint8:
         raise ValueError("corrupt expects an 8-bit (uint8) image")
     if clean.ndim != 3 or clean.shape[2] != 3:
         raise ValueError(f"corrupt expects [H,W,3] RGB, got shape {clean.shape}")
     noise = rng.gaussian(spec.seed, clean.size).reshape(clean.shape) * spec.sigma
-    noisy = np.clip(clean.astype(np.float64) + noise, 0.0, 255.0)
-    # values are non-negative after clamping, so half away from zero == floor(v + 0.5)
-    return np.floor(noisy + 0.5).astype(np.uint8)
+    return _round_8bit(clean.astype(np.float64) + noise)

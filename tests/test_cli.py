@@ -77,6 +77,22 @@ class TestCorrupt:
         assert sorted(counts) == list(range(51))
         assert all(c == 2 for c in counts.values())
 
+    def test_sigma_list_balances_images_over_each_sigma(self, tmp_path, capsys):
+        _, _, manifest_path = corrupt_corpus(tmp_path, count=6, sigmas="10,25,50")
+        assert DatasetManifest.load(manifest_path).sigma_counts() == {10: 2, 25: 2, 50: 2}
+        assert capsys.readouterr().out.splitlines()[:3] == [
+            "sigma 10: 2 image(s)", "sigma 25: 2 image(s)", "sigma 50: 2 image(s)"]
+
+    def test_carriage_return_in_a_file_name_exits_2_creating_nothing(self, tmp_path, capsys):
+        clean = tmp_path / "clean"
+        write_corpus(clean, 2, size=16)
+        save_image(synth_image(1, size=16), clean / "b\rc.png")
+        out = tmp_path / "noisy"
+        assert run_cli(["corrupt", "--input", str(clean), "--output", str(out),
+                        "--sigmas", "25"]) == 2
+        assert capsys.readouterr().err == "error: path not representable in manifest: 'b\\rc.png'\n"
+        assert not out.exists()
+
     def test_unreadable_input_exits_2(self, tmp_path):
         assert run_cli(["corrupt", "--input", str(tmp_path / "missing"),
                         "--output", str(tmp_path / "o"), "--sigmas", "25"]) == 2

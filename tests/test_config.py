@@ -53,6 +53,16 @@ class TestEveryKey:
             load_run_config(config_path=cfg_file)
 
 
+def test_file_comments_blank_lines_and_spaces_around_the_equals_sign(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("# model\n\n  base_width = 4  \n    # indented comment\n"
+                        "stage_widths= 6, 8,10,12\n\n\tlearning_rate =2e-3\n")
+    values = load_run_config(config_path=cfg_file)
+    assert build_config(ModelConfig, values) == ModelConfig(base_width=4,
+                                                            stage_widths=(6, 8, 10, 12))
+    assert build_config(TrainConfig, values) == TrainConfig(learning_rate=2e-3)
+
+
 def test_default_echo():
     values = load_run_config()
     assert echo_lines(build_config(ModelConfig, values), build_config(TrainConfig, values)) == [

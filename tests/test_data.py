@@ -194,6 +194,30 @@ class TestManifestIO:
         with pytest.raises(ValueError, match="split"):
             ManifestRow("a.png", 25, 7, "validation")
 
+    @pytest.mark.parametrize("char", [",", "\n", "\r"], ids=["comma", "lf", "cr"])
+    def test_path_a_manifest_line_cannot_hold_rejected(self, tmp_path, char):
+        with pytest.raises(ValueError, match="path not representable in manifest"):
+            ManifestRow(f"a{char}b.png", 25, 7, "train")
+        # a root directory's name reaches the line only when save writes the path
+        manifest = DatasetManifest([ManifestRow("a.png", 25, 7, "train")],
+                                   root=str(tmp_path / f"x{char}y"))
+        path = tmp_path / "m.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(f"x{char}y/a.png"))):
+            manifest.save(path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_blank_lines_skipped_and_crlf_read(self, tmp_path, corpus8, newline):
+        clean_dir, _ = corpus8
+        saved = tmp_path / "saved.csv"
+        build_manifest(clean_dir, [0, 25], base_seed=3).save(saved)
+        lines = saved.read_text().splitlines()
+        path = tmp_path / "m.csv"
+        path.write_bytes(newline.join(lines[:3] + ["", ""] + lines[3:] + [""]).encode())
+        loaded = DatasetManifest.load(path)
+        assert loaded.rows == DatasetManifest.load(saved).rows
+        assert len(loaded.rows) == len(lines) - 1
+
 
 def epoch_batches(manifest, split, batch_size, epoch_seed, cache=None):
     """One epoch as train() builds it: (rows, noisy, clean) per planned batch."""
